@@ -22,8 +22,8 @@ import numpy as np
 
 from . import chromatic as chrom
 from .functionals import GuardError, w_star_solve
-from .graphs import (BlowUpSpec, blow_up_as_model, sample_chung_lu, sample_sbm,
-                     union_graphs, union_model)
+from .graphs import (BlowUpSpec, blow_up_as_model, check_chung_lu,
+                     sample_chung_lu, sample_sbm, union_graphs, union_model)
 from .model import BlockVector, ModelError, ModelInstance, ProbMatrix, q_star
 from .predictions import (predict_chung_lu, predict_gnp, predict_percolation,
                           predict_two_block, sigma_estimate)
@@ -346,6 +346,8 @@ def _measure_row(cfg: ExperimentConfig, point_idx: int, replicate: int,
                         effort=cfg.extraction_effort).num_colours)
             except chrom.BudgetExceededError as exc:
                 status.append(f"{method}_budget[{exc.lower},{exc.upper}]")
+            except GuardError as exc:
+                status.append(f"{method}_guard[{exc}]")
     if "alpha_h" in cfg.measures:
         if inst is None:
             status.append("alpha_h_skipped_no_model")
@@ -392,8 +394,10 @@ def run_experiment(cfg: ExperimentConfig, out_path: str) -> list[ReportRow]:
     cells = []
     for point_idx, params in enumerate(points):
         spec = cfg.model_at(params)
-        _sample(spec, 0)  # validate the model spec early (fail fast)
-        preds = _point_predictions(spec, cfg)
+        if spec["kind"] in ("chunglu-times", "chunglu-plus"):  # fail fast
+            check_chung_lu(spec["u"], float(spec["p"]),
+                           spec["kind"].removeprefix("chunglu-"))
+        preds = _point_predictions(spec, cfg)  # block kinds fail here
         for replicate in range(cfg.replicates):
             cells.append((point_idx, replicate, spec, preds, params))
 

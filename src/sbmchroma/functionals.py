@@ -88,6 +88,7 @@ class Decomposition:
 # ---------------------------------------------------------------------------
 
 _mask_cache: dict[int, np.ndarray] = {}
+_pair_cache: dict[int, np.ndarray] = {}
 
 
 def _corner_masks(k: int) -> np.ndarray:
@@ -111,12 +112,11 @@ def _corner_scan(x: np.ndarray, qm: np.ndarray):
     """Yield (corner_values, corner_vectors) arrays chunk by chunk."""
     k = x.size
     if k <= _CHUNK_BITS:
-        chunks = [(_corner_masks(k),)]
-    else:
+        chunks = [_corner_masks(k)]
+    else:  # one chunk at a time: all of them at k = 30 would take 257 GB
         step = 1 << _CHUNK_BITS
-        chunks = [(_chunk_masks(k, lo, min(lo + step, 1 << k)),)
-                  for lo in range(0, 1 << k, step)]
-    for (masks,) in chunks:
+        chunks = (_chunk_masks(k, lo, lo + step) for lo in range(0, 1 << k, step))
+    for masks in chunks:
         z = masks * x
         norms = z.sum(axis=1)
         quad = ((z @ qm) * z).sum(axis=1)
@@ -156,25 +156,44 @@ def w_value(x: BlockVector, q: QMatrix) -> CornerSolution:
                           maximizer=BlockVector(best_z, integer=x.is_integer))
 
 
-def _w_only(y: np.ndarray, qm: np.ndarray) -> float:
-    """Value-only w(y, Q) for a nonnegative vector."""
-    best = 0.0
-    for vals, _ in _corner_scan(y, qm):
-        best = max(best, float(vals.max()))
-    return best
+def _pair_masks(k: int) -> np.ndarray:
+    """(k*k, 2^k) read-only table PM[(i, j), c] = mask_ci * mask_cj, so that
+    the quadratic form of every corner of a row is one matrix product."""
+    pm = _pair_cache.get(k)
+    if pm is None:
+        masks = _corner_masks(k)
+        pairs = (masks[:, :, None] * masks[:, None, :]).reshape(1 << k, k * k)
+        pm = np.ascontiguousarray(pairs.T)
+        pm.setflags(write=False)
+        _pair_cache[k] = pm
+    return pm
 
 
 def _w_batch(rows: np.ndarray, qm: np.ndarray) -> np.ndarray:
-    """w values for a batch of nonnegative vectors (hot path, k <= 16)."""
+    """w values for a batch of nonnegative vectors, one per row.
+
+    Up to _FULL_SEARCH_MAX_K blocks every corner of every row comes from one
+    product with the cached pair table; above that a table would be too
+    large (134 MB at k = 16), so each row scans its corners in chunks.
+    """
     m, k = rows.shape
+    if k > MAX_CORNER_K:
+        raise GuardError(f"corner enumeration refuses k={k} > {MAX_CORNER_K}")
     if m == 0:
         return np.zeros(0)
-    masks = _corner_masks(k)
+    if k > _FULL_SEARCH_MAX_K:
+        return np.array([max(float(vals.max()) for vals, _ in _corner_scan(y, qm))
+                         for y in rows])
     outer = rows[:, :, None] * rows[:, None, :] * qm[None, :, :]
-    quad = np.einsum("ck,mkl,cl->mc", masks, outer, masks, optimize=True)
-    norms = rows @ masks.T
+    quad = outer.reshape(m, k * k) @ _pair_masks(k)
+    norms = rows @ _corner_masks(k).T
     vals = np.divide(quad, norms, out=np.zeros_like(quad), where=norms > 0.0)
     return vals.max(axis=1)
+
+
+def _w_sum(parts: Sequence[np.ndarray], qm: np.ndarray) -> float:
+    """Sum of the w values of a system, added in part order."""
+    return sum(_w_batch(np.asarray(parts, dtype=np.float64), qm).tolist())
 
 
 def w_value_sampled(x: BlockVector, q: QMatrix, trials: int, seed: int) -> float:
@@ -312,17 +331,19 @@ def _light_candidates(xv: np.ndarray, qm: np.ndarray,
     k = xv.size
 
     best_parts = [xv.copy()]
-    best = _w_only(xv, qm)
+    best = _w_sum([xv], qm)
     cand = [xv * (np.arange(k) == i) for i in range(k) if xv[i] > 0.0]
-    cand_vals = [_w_only(p, qm) for p in cand]
+    cand_vals = _w_batch(np.asarray(cand), qm).tolist()
     if sum(cand_vals) < best:
         best, best_parts = sum(cand_vals), [p.copy() for p in cand]
     merged = True
     while merged and len(cand) > 1:
         merged = False
         best_gain, best_pair = 1e-12, None
-        for a, b in itertools.combinations(range(len(cand)), 2):
-            wab = _w_only(cand[a] + cand[b], qm)
+        pairs = list(itertools.combinations(range(len(cand)), 2))
+        merged_vals = _w_batch(np.asarray([cand[a] + cand[b] for a, b in pairs]),
+                               qm).tolist()
+        for (a, b), wab in zip(pairs, merged_vals):
             gain = cand_vals[a] + cand_vals[b] - wab
             if gain > best_gain:
                 best_gain, best_pair = gain, (a, b, wab)
@@ -339,7 +360,7 @@ def _light_candidates(xv: np.ndarray, qm: np.ndarray,
         a, b = xv * side, xv * ~side
         if a.sum() <= 0.0 or b.sum() <= 0.0:
             continue
-        v = _w_only(a, qm) + _w_only(b, qm)
+        v = _w_sum([a, b], qm)
         if v < best:
             best, best_parts = v, [a, b]
     return best, best_parts
@@ -375,7 +396,7 @@ def _solve_system(xv: np.ndarray, qm: np.ndarray, n_parts: int, restarts: int,
             best_total, best_rows = total, rows
     rows = _snap_and_repair(best_rows, xv)
     parts = [rows[t].copy() for t in range(rows.shape[0]) if rows[t].sum() > 0.0]
-    return sum(_w_only(p, qm) for p in parts), parts
+    return _w_sum(parts, qm), parts
 
 
 def w_star_solve(x: BlockVector, q: QMatrix, restarts: int = 4,
@@ -394,7 +415,7 @@ def w_star_solve(x: BlockVector, q: QMatrix, restarts: int = 4,
     target = BlockVector(x.values, integer=x.is_integer)
     if x.norm == 0.0:
         return Decomposition(parts=[], target=target, w_sum=0.0, method="empty")
-    single_val = _w_only(xv, qm)
+    single_val = _w_sum([xv], qm)
     if is_pseudodefinite(q):
         dec = Decomposition(parts=[BlockVector(xv.copy(), integer=x.is_integer)],
                             target=target, w_sum=single_val,

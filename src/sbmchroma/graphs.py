@@ -24,6 +24,7 @@ __all__ = [
     "percolate",
     "blow_up_as_model",
     "chung_lu_model",
+    "check_chung_lu",
     "sample_chung_lu",
     "union_graphs",
 ]
@@ -307,26 +308,34 @@ def chung_lu_model(u: Sequence[float], p: float, kind: str,
             ModelInstance(sizes, ProbMatrix(upper)))
 
 
-def sample_chung_lu(u: Sequence[float], p: float, kind: str,
-                    seed: int) -> SbmGraph:
-    """Exact (unbucketed) sampler: pair {a,b} appears with p*u_a*u_b or
-    p*(u_a+u_b).  Every vertex is its own block in the provenance."""
+def check_chung_lu(u: Sequence[float], p: float, kind: str) -> np.ndarray:
+    """Validate exact Chung-Lu parameters; returns u as a float array.
+
+    Raises ModelError unless every pair probability lies in [0, 1)."""
     uv = np.asarray(u, dtype=np.float64)
     if uv.ndim != 1 or uv.size == 0:
         raise ModelError("u must be a nonempty vector")
     if np.any(uv < 0.0) or np.any(uv > 1.0):
         raise ModelError("u components must lie in [0, 1]")
-    n = uv.size
     if kind == "times":
         if not 0.0 < p < 1.0:
             raise ModelError("times kind needs p in (0, 1)")
     elif kind == "plus":
-        top = p * (np.sort(uv)[-2:].sum()) if n >= 2 else 0.0
+        top = p * (np.sort(uv)[-2:].sum()) if uv.size >= 2 else 0.0
         if p <= 0.0 or top >= 1.0:
             raise ModelError("plus kind pairwise probability reaches "
                              f"{top:.3f} >= 1")
     else:
         raise ModelError(f"unknown Chung-Lu kind {kind!r}")
+    return uv
+
+
+def sample_chung_lu(u: Sequence[float], p: float, kind: str,
+                    seed: int) -> SbmGraph:
+    """Exact (unbucketed) sampler: pair {a,b} appears with p*u_a*u_b or
+    p*(u_a+u_b).  Every vertex is its own block in the provenance."""
+    uv = check_chung_lu(u, p, kind)
+    n = uv.size
     rng = rng_from_seed(seed)
     edges = []
     for a in range(n - 1):

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from sbmchroma import experiment
 from sbmchroma.experiment import (ConfigError, ExperimentConfig, emit_plotdata,
                                   run_experiment)
+from sbmchroma.graphs import sample_sbm
 from sbmchroma.model import ModelError
 from sbmchroma.seeds import mix_seed
 
@@ -142,6 +144,44 @@ class TestRunExperiment:
         })
         rows = run_experiment(cfg, str(tmp_path / "c.csv"))
         assert rows[0].predictions["chi_pred_model"] > 0
+
+    def test_chi_guard_recorded_not_fatal(self, tmp_path):
+        cfg = ExperimentConfig.from_dict({
+            "model": {"kind": "chunglu-times", "u": [0.5] * 31, "p": 0.5},
+            "replicates": 2, "base_seed": 9,
+            "chi_methods": ["dsatur", "extraction"], "measures": ["chi"],
+        })
+        rows = run_experiment(cfg, str(tmp_path / "c.csv"))
+        assert len(rows) == 2
+        for r in rows:
+            assert r.status.startswith("extraction_guard[")
+            assert "chi_dsatur" in r.values
+            assert "chi_extraction" not in r.values
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "chunglu-times", "u": [0.5, 1.5, 0.2], "p": 0.4},
+        {"kind": "chunglu-plus", "u": [0.9, 0.9], "p": 0.6},
+    ])
+    def test_bad_chunglu_spec_fails_before_any_row(self, tmp_path,
+                                                   monkeypatch, model):
+        def no_rows(*args):
+            raise AssertionError("a row ran before the spec was checked")
+        monkeypatch.setattr(experiment, "_measure_row", no_rows)
+        cfg = ExperimentConfig.from_dict(base_config(model=model))
+        with pytest.raises(ModelError):
+            run_experiment(cfg, str(tmp_path / "bad.csv"))
+
+    def test_one_sample_per_row(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(m, seed):
+            calls.append(seed)
+            return sample_sbm(m, seed)
+        monkeypatch.setattr(experiment, "sample_sbm", counting)
+        cfg = ExperimentConfig.from_dict(base_config(
+            sweep=[{"param": "n", "values": [10, 12]}], replicates=3))
+        rows = run_experiment(cfg, str(tmp_path / "r.csv"))
+        assert sorted(calls) == sorted(r.seed for r in rows)
 
     def test_worker_pool_matches_serial(self, tmp_path):
         base = base_config(sweep=[{"param": "n", "values": [10, 14]}])

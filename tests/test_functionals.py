@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sbmchroma import functionals
 from sbmchroma.functionals import (GuardError, is_pseudodefinite,
                                    near_optimal_integer_system, w_ell,
                                    w_star_bounds, w_star_bruteforce,
@@ -73,6 +74,82 @@ class TestWValue:
             xs = x * rng.uniform(0, 1, k)
             assert (w_value(BlockVector(xs), q).value
                     <= w_value(BlockVector(x), q).value + 1e-9)
+
+
+def exact_w(row, q):
+    qfrac = [[Fraction(float(v)) for v in r] for r in q.entries]
+    return float(functionals._w_exact(tuple(int(v) for v in row), qfrac))
+
+
+def einsum_w_batch(rows, qm):
+    """The corner engine as an einsum over the masks, kept as a reference."""
+    m, k = rows.shape
+    if m == 0:
+        return np.zeros(0)
+    masks = functionals._corner_masks(k)
+    outer = rows[:, :, None] * rows[:, None, :] * qm[None, :, :]
+    quad = np.einsum("ck,mkl,cl->mc", masks, outer, masks, optimize=True)
+    norms = rows @ masks.T
+    vals = np.divide(quad, norms, out=np.zeros_like(quad), where=norms > 0.0)
+    return vals.max(axis=1)
+
+
+def disassortative_q(rng, k):
+    a = rng.uniform(1.0, 3.0, (k, k))
+    q = (a + a.T) / 2.0
+    np.fill_diagonal(q, rng.uniform(0.0, 0.3, k))
+    return QMatrix(q)
+
+
+class TestCornerEngine:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
+    def test_matches_rational_oracle(self, k):
+        rng = np.random.default_rng(100 + k)
+        q = rand_qmatrix(rng, k)
+        n_rows = 8 if k <= 8 else 2
+        rows = rng.integers(0, 6, (n_rows, k)) * (rng.random((n_rows, k)) < 0.7)
+        rows[0] = 0  # all-zero row
+        got = functionals._w_batch(rows.astype(np.float64), q.entries)
+        want = [exact_w(r, q) for r in rows]
+        assert got[0] == 0.0
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [2, 5, 7, 10, 11])
+    def test_batch_agrees_with_single_rows(self, k):
+        rng = np.random.default_rng(200 + k)
+        q = rand_qmatrix(rng, k)
+        rows = rng.uniform(0, 5, (6, k)) * (rng.random((6, k)) < 0.7)
+        rows[1] = 0.0
+        batch = functionals._w_batch(rows, q.entries)
+        for r, b in zip(rows, batch):
+            one = functionals._w_batch(r[None], q.entries)[0]
+            assert one == pytest.approx(b, rel=1e-12, abs=0.0)
+
+    def test_guard_refuses_before_enumerating(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("corners enumerated past the guard")
+        monkeypatch.setattr(functionals, "_corner_masks", refuse)
+        monkeypatch.setattr(functionals, "_chunk_masks", refuse)
+        k = functionals.MAX_CORNER_K + 1
+        with pytest.raises(GuardError):
+            functionals._w_batch(np.ones((2, k)), np.eye(k))
+        with pytest.raises(GuardError):
+            w_star_solve(BlockVector(np.ones(k)), QMatrix(np.eye(k)))
+
+    @pytest.mark.parametrize("k", [5, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_solver_matches_einsum_engine(self, k, seed, monkeypatch):
+        rng = np.random.default_rng(300 + 10 * k + seed)
+        q = disassortative_q(rng, k)
+        assert not is_pseudodefinite(q)
+        x = BlockVector.integral(rng.integers(1, 8, k))
+        dec = w_star_solve(x, q, seed=seed)
+        monkeypatch.setattr(functionals, "_w_batch", einsum_w_batch)
+        ref = w_star_solve(x, q, seed=seed)
+        assert dec.method == ref.method == "local-search"
+        assert len(dec.parts) == len(ref.parts)
+        assert dec.w_sum == pytest.approx(ref.w_sum, rel=1e-9, abs=1e-9)
 
 
 class TestWValueSampled:
