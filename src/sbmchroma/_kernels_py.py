@@ -11,6 +11,8 @@ Kernels:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 BUDGET_EXCEEDED = 1
 OK = 0
 
@@ -41,11 +43,15 @@ def greedy_clique(n: int, adj: list[int]) -> list[int]:
     return best
 
 
-def dsatur_greedy(n: int, adj: list[int]) -> tuple[int, list[int]]:
-    """Plain DSATUR heuristic (ties by degree then index); returns an upper
-    bound and a proper colouring using colours 0..ub-1."""
+def dsatur_greedy(n: int, adj: list[int],
+                  rank: Sequence[int] | None = None) -> tuple[int, list[int]]:
+    """Plain DSATUR heuristic (ties by degree, then lowest rank; the rank
+    defaults to the index); returns an upper bound and a proper colouring
+    using colours 0..ub-1."""
     if n == 0:
         return 0, []
+    if rank is None:
+        rank = range(n)
     degs = [a.bit_count() for a in adj]
     colors = [-1] * n
     forbid = [0] * n
@@ -55,7 +61,7 @@ def dsatur_greedy(n: int, adj: list[int]) -> tuple[int, list[int]]:
         for v in range(n):
             if colors[v] >= 0:
                 continue
-            cand = (forbid[v].bit_count(), degs[v], -v)
+            cand = (forbid[v].bit_count(), degs[v], -rank[v])
             if cand > key:
                 pick, key = v, cand
         c = 0

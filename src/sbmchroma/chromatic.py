@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import _kernels_py, kernels
 from .functionals import GuardError, near_optimal_integer_system, w_value
 from .graphs import SbmGraph
 from .model import BlockVector, ModelError, ModelInstance
@@ -120,36 +120,11 @@ def exact_chromatic(g: SbmGraph, budget: int = DEFAULT_COLOURING_BUDGET) -> int:
 
 def dsatur_colouring(g: SbmGraph, seed: int = 0) -> Colouring:
     """DSATUR heuristic; ties on (saturation, degree) break by a seeded
-    shuffle, then by index."""
-    n = g.n
-    if n == 0:
-        return Colouring(np.zeros(0, dtype=np.int64), 0, "dsatur")
-    adj = g.adjacency_bits()
-    degs = [a.bit_count() for a in adj]
-    rank = np.empty(n, dtype=np.int64)
-    rank[rng_from_seed(seed).permutation(n)] = np.arange(n)
-    colors = [-1] * n
-    forbid = [0] * n
-    for _ in range(n):
-        pick, key = -1, (-1, -1, 1, 1)
-        for v in range(n):
-            if colors[v] >= 0:
-                continue
-            cand = (forbid[v].bit_count(), degs[v], -int(rank[v]), -v)
-            if cand > key:
-                pick, key = v, cand
-        c = 0
-        fb = forbid[pick]
-        while (fb >> c) & 1:
-            c += 1
-        colors[pick] = c
-        bit = 1 << c
-        m = adj[pick]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if colors[u] < 0:
-                forbid[u] |= bit
+    shuffle."""
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[rng_from_seed(seed).permutation(g.n)] = np.arange(g.n)
+    _, colors = _kernels_py.dsatur_greedy(g.n, g.adjacency_bits(),
+                                          rank.tolist())
     col = _canonical_colouring(colors, "dsatur")
     col.check_proper(g)
     return col
@@ -370,15 +345,51 @@ def alpha_h(m: ModelInstance, g: SbmGraph, mode: str = "exact",
     return WeightedIndepResult(best_set=best, h_value=h, exact=exact)
 
 
+def _refill(amat: np.ndarray, block_of: np.ndarray, ind: np.ndarray,
+            conf: np.ndarray, room: np.ndarray, rng) -> None:
+    """Adaptive randomized greedy fill of `ind`, in place.
+
+    A vertex is addable when it is outside `ind`, has no neighbour in it
+    (`conf`, the neighbour counts, is zero) and its block has `room` left.
+    Each step adds a random one of the 30 % of addable vertices with the
+    fewest addable neighbours, until none is addable.
+    """
+    addable = (ind == 0.0) & (conf == 0.0) & (room[block_of] > 0)
+    while True:
+        cand = np.nonzero(addable)[0]
+        if cand.size == 0:
+            return
+        fwd = amat[cand] @ addable.astype(np.float64)
+        top = cand[np.argsort(fwd, kind="stable")]
+        top = top[:max(1, int(np.ceil(0.3 * cand.size)))]
+        v = int(top[rng.integers(top.size)])
+        ind[v] = 1.0
+        addable[v] = False
+        addable &= amat[v] == 0.0
+        b = block_of[v]
+        room[b] -= 1
+        if room[b] == 0:
+            addable &= block_of != b
+
+
+def _ruin(amat: np.ndarray, ind: np.ndarray, rng) -> np.ndarray:
+    """Remove a random 40 % of the members of `ind` (at least one), in
+    place; returns the neighbour counts of what is left."""
+    members = np.nonzero(ind > 0.0)[0]
+    if members.size:
+        kill = rng.choice(members, size=max(1, int(0.4 * members.size)),
+                          replace=False)
+        ind[kill] = 0.0
+    return amat @ ind
+
+
 def _alpha_h_local_search(m: ModelInstance, g: SbmGraph, seed: int,
                           restarts: int = 6, iters: int = 40) -> frozenset[int]:
     """Seeded ruin-and-recreate: adaptive randomized greedy fills, partial
     teardown, refill; a drop pass trades large light sets for small heavy
     ones.  The best h seen anywhere is kept."""
     n = g.n
-    amat = np.zeros((n, n))
-    for u, v in g.edges:
-        amat[u, v] = amat[v, u] = 1.0
+    amat = g.adjacency_matrix()
     w = _pair_weights(m, g)
 
     def pair_sum(ind: np.ndarray) -> float:
@@ -387,19 +398,6 @@ def _alpha_h_local_search(m: ModelInstance, g: SbmGraph, seed: int,
     def h_of(ind: np.ndarray) -> float:
         size = float(ind.sum())
         return pair_sum(ind) / size if size >= 1.0 else 0.0
-
-    def refill(ind: np.ndarray, conf: np.ndarray, rng) -> None:
-        while True:
-            addable = (ind == 0.0) & (conf == 0.0)
-            cand = np.nonzero(addable)[0]
-            if cand.size == 0:
-                return
-            fwd = amat[cand] @ addable.astype(np.float64)
-            top = cand[np.argsort(fwd, kind="stable")]
-            top = top[:max(1, int(np.ceil(0.3 * cand.size)))]
-            v = int(top[rng.integers(top.size)])
-            ind[v] = 1.0
-            conf += amat[v]
 
     def drop_pass(ind: np.ndarray) -> np.ndarray:
         changed = True
@@ -425,25 +423,20 @@ def _alpha_h_local_search(m: ModelInstance, g: SbmGraph, seed: int,
         if hv > best_h:
             best_h, best_ind = hv, ind.copy()
 
+    # a whole block is room enough: no block closes while it has an
+    # addable vertex
     for r in range(restarts):
         rng = rng_from_seed(derive_seed(seed, r))
         ind = np.zeros(n)
-        conf = np.zeros(n)
-        refill(ind, conf, rng)
+        _refill(amat, g.block_of, ind, np.zeros(n), g.block_sizes(), rng)
         consider(ind)
         consider(drop_pass(ind.copy()))
         cur = ind.copy()
         cur_h = h_of(cur)
         for _ in range(iters):
             ind = cur.copy()
-            members = np.nonzero(ind > 0.0)[0]
-            if members.size:
-                kill = rng.choice(members,
-                                  size=max(1, int(0.4 * members.size)),
-                                  replace=False)
-                ind[kill] = 0.0
-            conf = amat @ ind
-            refill(ind, conf, rng)
+            conf = _ruin(amat, ind, rng)
+            _refill(amat, g.block_of, ind, conf, g.block_sizes(), rng)
             consider(ind)
             consider(drop_pass(ind.copy()))
             if h_of(ind) >= cur_h:  # accept ties to keep wandering
@@ -460,11 +453,11 @@ def find_balanced_independent_set(m: ModelInstance, g_remaining: SbmGraph,
                                   effort: int = 8) -> Optional[frozenset[int]]:
     """Independent set whose per-block counts equal `target` exactly, or None.
 
-    Seeded greedy fill in a random block-balanced order, then local repair:
-    unmet block demand is served by the least-conflicting candidate, evicting
-    the members it clashes with (a plateau walk when the clash is single).
-    Up to `effort` restarts; the model argument is part of the call contract,
-    feasibility only depends on the graph.
+    Seeded ruin-and-recreate: adaptive randomized greedy fills restricted
+    to blocks still below target, partial teardown and refill while the
+    unmet demand does not grow.  Up to `effort` restarts; the model
+    argument is part of the call contract, feasibility only depends on the
+    graph.
     """
     del m  # feasibility is purely graph-side
     g = g_remaining
@@ -473,66 +466,38 @@ def find_balanced_independent_set(m: ModelInstance, g_remaining: SbmGraph,
     tgt = np.asarray(target.as_ints(), dtype=np.int64)
     if tgt.size != g.k:
         raise ModelError("target dimension does not match the graph")
-    counts = g.block_sizes()
-    if np.any(tgt > counts):
+    if np.any(tgt > g.block_sizes()):
         raise ModelError("target exceeds remaining block counts")
     if tgt.sum() == 0:
         return frozenset()
     n = g.n
-    amat = np.zeros((n, n))
-    for u, v in g.edges:
-        amat[u, v] = amat[v, u] = 1.0
+    amat = g.adjacency_matrix()
     blocks = g.block_of
-    block_onehot = np.zeros((g.k, n))
-    block_onehot[blocks, np.arange(n)] = 1.0
 
-    def refill(ind: np.ndarray, conf: np.ndarray, rng) -> None:
-        # adaptive randomized greedy: among addable vertices of open blocks,
-        # favour those with few neighbours left addable
-        while True:
-            counts = block_onehot @ ind
-            open_block = counts < tgt
-            addable = (ind == 0.0) & (conf == 0.0) & open_block[blocks]
-            cand = np.nonzero(addable)[0]
-            if cand.size == 0:
-                return
-            fwd = amat[cand] @ addable.astype(np.float64)
-            top = cand[np.argsort(fwd, kind="stable")]
-            top = top[:max(1, int(np.ceil(0.3 * cand.size)))]
-            v = int(top[rng.integers(top.size)])
-            ind[v] = 1.0
-            conf += amat[v]
+    def room(ind: np.ndarray) -> np.ndarray:
+        return tgt - np.bincount(blocks[ind > 0.0], minlength=g.k)
 
     def deficit(ind: np.ndarray) -> int:
-        return int(np.clip(tgt - block_onehot @ ind, 0, None).sum())
+        return int(np.clip(room(ind), 0, None).sum())
 
     iters = 12
     for attempt in range(effort):
         rng = rng_from_seed(derive_seed(seed, attempt))
         ind = np.zeros(n)
-        conf = np.zeros(n)
-        refill(ind, conf, rng)
+        _refill(amat, blocks, ind, np.zeros(n), tgt.copy(), rng)
         cur = ind.copy()
         cur_def = deficit(cur)
         for _ in range(iters):
             if cur_def == 0:
                 break
             ind = cur.copy()
-            members = np.nonzero(ind > 0.0)[0]
-            if members.size:
-                kill = rng.choice(members,
-                                  size=max(1, int(0.4 * members.size)),
-                                  replace=False)
-                ind[kill] = 0.0
-            conf = amat @ ind
-            refill(ind, conf, rng)
+            conf = _ruin(amat, ind, rng)
+            _refill(amat, blocks, ind, conf, room(ind), rng)
             new_def = deficit(ind)
             if new_def <= cur_def:  # accept ties to keep wandering
                 cur, cur_def = ind.copy(), new_def
-        if cur_def == 0:
-            chosen = frozenset(int(v) for v in np.nonzero(cur > 0.0)[0])
-            if np.array_equal(g.b_vector(chosen), tgt):
-                return chosen
+        if cur_def == 0:  # no block exceeds its target, so all meet it
+            return frozenset(int(v) for v in np.nonzero(cur > 0.0)[0])
     return None
 
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -388,6 +389,8 @@ def run_experiment(cfg: ExperimentConfig, out_path: str) -> list[ReportRow]:
     out_path                the report CSV (deterministic, versioned header)
     out_path.summary.json   per-point median and IQR of every ratio column
     out_path.timing.csv     wall-clock per row (not reproducible by nature)
+
+    Each file is replaced whole, so an interrupted write keeps the old one.
     """
     cfg.validate()
     points = cfg.grid_points()
@@ -402,7 +405,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str) -> list[ReportRow]:
             cells.append((point_idx, replicate, spec, preds, params))
 
     if cfg.workers > 1:
-        cfg_dict = _config_as_dict(cfg)
+        cfg_dict = dict(asdict(cfg), workers=1)
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(
                 _run_cell,
@@ -424,26 +427,28 @@ def run_experiment(cfg: ExperimentConfig, out_path: str) -> list[ReportRow]:
         rec += [_fmt(r.predictions.get(c)) for c in _PRED_COLS]
         rec += [_fmt(r.ratio(mc, pc)) for _, mc, pc in _RATIO_SPEC]
         lines.append(",".join(rec))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(out_path, "\n".join(lines) + "\n")
 
     _write_summary(rows, points, param_names, f"{out_path}.summary.json")
-    with open(f"{out_path}.timing.csv", "w", encoding="utf-8") as fh:
-        fh.write("point,replicate,runtime_ms\n")
-        for r in rows:
-            fh.write(f"{r.point},{r.replicate},{r.runtime_ms:.3f}\n")
+    timing = "".join(f"{r.point},{r.replicate},{r.runtime_ms:.3f}\n"
+                     for r in rows)
+    _write_atomic(f"{out_path}.timing.csv",
+                  "point,replicate,runtime_ms\n" + timing)
     return rows
 
 
-def _config_as_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "model": cfg.model, "replicates": cfg.replicates,
-        "base_seed": cfg.base_seed, "chi_methods": cfg.chi_methods,
-        "measures": cfg.measures, "sweep": cfg.sweep, "epsilon": cfg.epsilon,
-        "exact_budget": cfg.exact_budget, "exact_guard": cfg.exact_guard,
-        "alpha_h_mode": cfg.alpha_h_mode,
-        "extraction_effort": cfg.extraction_effort, "workers": 1,
-    }
+def _write_atomic(path: str, text: str) -> None:
+    """Write `text` to `path` through a temporary file in the same
+    directory and os.replace: a failure part-way leaves an existing file at
+    `path` as it was and no partial file behind."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _write_summary(rows: list[ReportRow], points: list[dict],
@@ -465,9 +470,7 @@ def _write_summary(rows: list[ReportRow], points: list[dict],
                 "iqr": float(f"{np.percentile(arr, 75) - np.percentile(arr, 25):.10g}"),
             }
         summary["points"].append(entry)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_atomic(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def emit_plotdata(report_path: str, x: str, y: str, out_path: str,

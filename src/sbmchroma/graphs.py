@@ -33,12 +33,13 @@ __all__ = [
 class SbmGraph:
     """Labelled simple graph: contiguous blocks, sorted edge list, provenance.
 
-    Immutable after construction; adjacency bitsets are built lazily and
-    cached for the colouring/independence kernels.
+    Immutable after construction; adjacency bitsets (for the colouring and
+    independence kernels) and the dense adjacency matrix (for the local
+    searches) are built lazily and cached.
     """
 
     __slots__ = ("n", "k", "block_of", "edges", "provenance", "_adj_bits",
-                 "_neighbors")
+                 "_adj_mat")
 
     def __init__(self, n: int, block_of: Sequence[int], edges,
                  provenance: Optional[dict] = None, k: Optional[int] = None):
@@ -70,7 +71,7 @@ class SbmGraph:
         self.edges = arr
         self.provenance = dict(provenance or {})
         self._adj_bits = None
-        self._neighbors = None
+        self._adj_mat = None
 
     # --- derived views -----------------------------------------------------
 
@@ -94,14 +95,15 @@ class SbmGraph:
             self._adj_bits = bits
         return self._adj_bits
 
-    def neighbors(self) -> list[np.ndarray]:
-        if self._neighbors is None:
-            lists: list[list[int]] = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                lists[int(u)].append(int(v))
-                lists[int(v)].append(int(u))
-            self._neighbors = [np.array(sorted(l), dtype=np.int64) for l in lists]
-        return self._neighbors
+    def adjacency_matrix(self) -> np.ndarray:
+        """Dense read-only 0/1 adjacency matrix (float64, n x n)."""
+        if self._adj_mat is None:
+            mat = np.zeros((self.n, self.n))
+            u, v = self.edges[:, 0], self.edges[:, 1]
+            mat[u, v] = mat[v, u] = 1.0
+            mat.setflags(write=False)
+            self._adj_mat = mat
+        return self._adj_mat
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:

@@ -367,3 +367,105 @@ class TestMinPartitionEqualsChi:
             best = min(partition_objective(g, parts)
                        for parts in all_partitions(list(range(n))))
             assert best == Fraction(exact_chromatic(g))
+
+
+# Five disassortative blocks of ten vertices (the shape of the mixed
+# benchmark workload).  The pinned values below are the outputs of the
+# searches on three draws; any change in how the searches consume their
+# random streams moves them.
+P_MIXED = [
+    [0.20, 0.58, 0.69, 0.76, 0.47],
+    [0.58, 0.17, 0.59, 0.65, 0.67],
+    [0.69, 0.59, 0.24, 0.70, 0.66],
+    [0.76, 0.65, 0.70, 0.06, 0.57],
+    [0.47, 0.67, 0.66, 0.57, 0.23],
+]
+PINNED_DSATUR = {
+    3: [0, 1, 2, 1, 2, 3, 0, 4, 3, 1, 3, 5, 6, 2, 5, 6, 5, 3, 0, 7, 8, 8, 8,
+        8, 5, 8, 2, 8, 2, 8, 9, 9, 9, 10, 10, 10, 10, 10, 10, 10, 4, 0, 6,
+        9, 6, 1, 4, 9, 1, 1],
+    4: [0, 0, 1, 2, 3, 4, 0, 0, 4, 1, 5, 2, 2, 5, 0, 5, 6, 2, 0, 2, 1, 7, 7,
+        7, 5, 1, 7, 7, 5, 2, 8, 8, 3, 8, 8, 8, 8, 8, 8, 8, 4, 4, 6, 4, 4, 6,
+        6, 6, 4, 6],
+    5: [0, 1, 2, 3, 3, 4, 3, 3, 3, 1, 5, 1, 6, 6, 4, 6, 5, 6, 5, 6, 4, 2, 2,
+        7, 7, 7, 1, 8, 2, 1, 9, 9, 10, 7, 9, 9, 9, 9, 9, 9, 0, 10, 5, 4, 10,
+        0, 0, 0, 10, 10],
+}
+PINNED_ALPHA_H = {
+    3: [2, 13, 25, 27, 28, 30],
+    4: [13, 15, 26, 31, 36, 42],
+    5: [7, 14, 16, 27, 41, 49],
+}
+PINNED_ONE_PER_BLOCK = {
+    3: [1, 15, 25, 37, 41],
+    4: [4, 14, 24, 32, 42],
+    5: [6, 10, 25, 37, 47],
+}
+
+
+def independence_number(g: SbmGraph) -> int:
+    adj = g.adjacency_bits()
+
+    def grow(cand: int, size: int) -> int:
+        best = size
+        while cand and size + cand.bit_count() > best:
+            v = cand.bit_length() - 1
+            cand &= ~(1 << v)
+            best = max(best, grow(cand & ~adj[v], size + 1))
+        return best
+
+    return grow((1 << g.n) - 1, 0)
+
+
+class TestPinnedSearchOutputs:
+    MODEL = ModelInstance(BlockVector.integral([10] * 5), ProbMatrix(P_MIXED))
+
+    @pytest.mark.parametrize("gs", sorted(PINNED_DSATUR))
+    def test_dsatur(self, gs):
+        g = sample_sbm(self.MODEL, gs)
+        col = dsatur_colouring(g, seed=gs + 100)
+        assert col.colour_of.tolist() == PINNED_DSATUR[gs]
+
+    @pytest.mark.parametrize("gs", sorted(PINNED_ALPHA_H))
+    def test_heuristic_alpha_h(self, gs):
+        g = sample_sbm(self.MODEL, gs)
+        res = alpha_h(self.MODEL, g, mode="heuristic", seed=gs + 200)
+        assert sorted(res.best_set) == PINNED_ALPHA_H[gs]
+
+    @pytest.mark.parametrize("gs", sorted(PINNED_ONE_PER_BLOCK))
+    def test_balanced_feasible(self, gs):
+        g = sample_sbm(self.MODEL, gs)
+        found = find_balanced_independent_set(
+            self.MODEL, g, BlockVector(np.ones(5, dtype=np.int64), integer=True),
+            seed=gs + 300)
+        assert sorted(found) == PINNED_ONE_PER_BLOCK[gs]
+
+    @pytest.mark.parametrize("gs", sorted(PINNED_ONE_PER_BLOCK))
+    def test_balanced_infeasible(self, gs):
+        g = sample_sbm(self.MODEL, gs)
+        assert independence_number(g) < 10  # so two per block cannot exist
+        target = BlockVector(np.full(5, 2, dtype=np.int64), integer=True)
+        assert find_balanced_independent_set(self.MODEL, g, target,
+                                             seed=gs + 300) is None
+
+
+class TestAdjacencyMatrix:
+    @pytest.mark.parametrize("g", [
+        sample_sbm(ModelInstance(BlockVector.integral([10] * 5),
+                                 ProbMatrix(P_MIXED)), 3),
+        PETERSEN,
+        SbmGraph(4, [0] * 4, [], k=1),
+        SbmGraph(0, [], [], k=0),
+    ])
+    def test_matches_bitsets(self, g):
+        mat = g.adjacency_matrix()
+        bits = [[(row >> v) & 1 for v in range(g.n)] for row in g.adjacency_bits()]
+        assert mat.shape == (g.n, g.n)
+        assert mat.dtype == np.float64
+        assert mat.tolist() == [[float(b) for b in row] for row in bits]
+
+    def test_cached_and_read_only(self):
+        mat = PETERSEN.adjacency_matrix()
+        assert PETERSEN.adjacency_matrix() is mat
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0

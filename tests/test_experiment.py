@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 
@@ -184,13 +185,65 @@ class TestRunExperiment:
         assert sorted(calls) == sorted(r.seed for r in rows)
 
     def test_worker_pool_matches_serial(self, tmp_path):
-        base = base_config(sweep=[{"param": "n", "values": [10, 14]}])
-        serial = ExperimentConfig.from_dict(base)
-        pooled = ExperimentConfig.from_dict(dict(base, workers=2))
-        a, b = tmp_path / "serial.csv", tmp_path / "pooled.csv"
-        run_experiment(serial, str(a))
-        run_experiment(pooled, str(b))
-        assert a.read_text() == b.read_text()
+        # every setting below changes this report on its own, so a setting
+        # lost on the way to the workers shows as a difference
+        changed = {"epsilon": 0.35, "extraction_effort": 1,
+                   "alpha_h_mode": "exact"}
+        base = base_config(
+            model={"kind": "sbm", "sizes": [20, 20],
+                   "P": [[0.5, 0.55], [0.55, 0.45]]},
+            sweep=[{"param": "p12", "values": [0.55, 0.7]}], replicates=3,
+            chi_methods=["dsatur", "extraction"],
+            measures=["chi", "alpha_h", "edge_count"])
+        out = tmp_path / "r.csv"
+
+        def report(**over) -> str:
+            run_experiment(ExperimentConfig.from_dict(dict(base, **over)),
+                           str(out))
+            return out.read_text()
+
+        serial = report(**changed)
+        assert report(**changed, workers=2) == serial
+        for name in changed:
+            assert report(**{k: v for k, v in changed.items()
+                             if k != name}) != serial, name
+
+    def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig.from_dict(base_config(
+            sweep=[{"param": "n", "values": [10, 14]}]))
+        out = tmp_path / "r.csv"
+        run_experiment(cfg, str(out))
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+        def full_disk_open(path, mode="r", **kw):
+            return _FullDisk(open(path, mode, **kw), budget=200)
+
+        monkeypatch.setattr(experiment, "open", full_disk_open, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            run_experiment(cfg, str(out))
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+class _FullDisk:
+    """Text file that takes `budget` characters, then fails as a full disk
+    would, with the part that fitted already on disk."""
+
+    def __init__(self, fh, budget: int):
+        self.fh, self.budget = fh, budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text: str) -> int:
+        if len(text) > self.budget:
+            self.fh.write(text[:self.budget])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(text)
+        return self.fh.write(text)
 
 
 class TestSeedMixing:

@@ -1,3 +1,7 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -87,3 +91,55 @@ class TestPurePythonKernels:
         status, h, mask, _ = kpy.best_weighted_independent_set(
             3, [0, 0, 0], [0.0] * 9, 100)
         assert status == kernels.OK and h == 0.0 and mask == 1
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sbmchroma"
+_ORIGIN = re.compile(r'^\s*/\* "sbmchroma/_kernels_cy\.pyx":(\d+)$')
+_MARK = "             # <<<<<<<<<<<<<<"
+
+
+def quoted_pyx_lines(c_lines: list[str]) -> list[tuple[int, str]]:
+    """(pyx line number, quoted text) for every source line that the
+    generated C quotes in its origin comments."""
+    out = []
+    for i, line in enumerate(c_lines):
+        origin = _ORIGIN.match(line)
+        if origin is None:
+            continue
+        block = []
+        for quoted in c_lines[i + 1:]:
+            if quoted == "*/":
+                break
+            block.append(quoted)
+        marked = [j for j, q in enumerate(block) if q.endswith(_MARK)]
+        assert len(marked) == 1, f"origin comment at C line {i + 1}"
+        first = int(origin.group(1)) - marked[0]
+        for j, quoted in enumerate(block):
+            text = quoted[3:]  # drop the " * " prefix
+            if j == marked[0]:
+                text = text[:-len(_MARK)]
+            out.append((first + j, text))
+    return out
+
+
+class TestGeneratedSourceMatchesPyx:
+    """The shipped C is what the build compiles when Cython is missing; it
+    must be generated from the .pyx as it stands."""
+
+    c_lines = (SRC / "_kernels_cy.c").read_text().splitlines()
+    pyx_lines = (SRC / "_kernels_cy.pyx").read_text().splitlines()
+
+    def test_metadata_names_the_pyx_as_only_source(self):
+        text = "\n".join(self.c_lines[:40])
+        meta = re.search(r"BEGIN: Cython Metadata\n(.*?)\nEND: Cython Metadata",
+                         text, re.S)
+        assert meta is not None
+        info = json.loads(meta.group(1))
+        assert info["distutils"]["sources"] == ["src/sbmchroma/_kernels_cy.pyx"]
+        assert info["module_name"] == "sbmchroma._kernels_cy"
+
+    def test_quoted_lines_equal_the_pyx(self):
+        quoted = quoted_pyx_lines(self.c_lines)
+        assert len({num for num, _ in quoted}) > 0.9 * len(self.pyx_lines)
+        for num, text in quoted:
+            assert text == self.pyx_lines[num - 1], f".pyx line {num}"
