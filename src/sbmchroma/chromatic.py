@@ -70,9 +70,10 @@ class Colouring:
         col = self.colour_of
         if col.shape != (g.n,):
             raise ModelError("colouring does not cover the vertex set")
-        for u, v in g.edges:
-            if col[u] == col[v]:
-                raise ModelError(f"monochromatic edge ({u},{v})")
+        mono = col[g.edges[:, 0]] == col[g.edges[:, 1]]
+        if mono.any():
+            u, v = g.edges[np.argmax(mono)]
+            raise ModelError(f"monochromatic edge ({u},{v})")
         used = np.unique(col)
         if g.n and (used.size != self.num_colours or used[0] != 0
                     or used[-1] != self.num_colours - 1):

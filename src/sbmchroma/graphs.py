@@ -33,9 +33,11 @@ __all__ = [
 class SbmGraph:
     """Labelled simple graph: contiguous blocks, sorted edge list, provenance.
 
-    Immutable after construction; adjacency bitsets (for the colouring and
-    independence kernels) and the dense adjacency matrix (for the local
-    searches) are built lazily and cached.
+    `edges` is the one edge representation: an m x 2 int64 array of pairs
+    u < v in lexicographic order, read with numpy masks by every operation.
+    Immutable after construction; the dense adjacency matrix (for the local
+    searches) and the neighbour bitsets packed from it (for the colouring and
+    independence kernels) are built lazily and cached.
     """
 
     __slots__ = ("n", "k", "block_of", "edges", "provenance", "_adj_bits",
@@ -58,15 +60,18 @@ class SbmGraph:
         block_arr.setflags(write=False)
         self.block_of = block_arr
 
-        edge_set = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ModelError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ModelError(f"edge ({u},{v}) out of range")
-            edge_set.add((u, v) if u < v else (v, u))
-        arr = np.array(sorted(edge_set), dtype=np.int64).reshape(-1, 2)
+        u, v = _as_pairs(edges).T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if bad.any():
+            first = int(np.argmax(bad))
+            if u[first] == v[first]:
+                raise ModelError(f"self-loop at vertex {int(u[first])}")
+            raise ModelError(f"edge ({int(u[first])},{int(v[first])}) out of range")
+        # one key per unordered pair; sorted keys are sorted (lo, hi) pairs
+        keys = np.sort(lo * n + hi)
+        keys = keys[np.diff(keys, prepend=-1) > 0]
+        arr = np.column_stack(np.divmod(keys, n))
         arr.setflags(write=False)
         self.edges = arr
         self.provenance = dict(provenance or {})
@@ -86,13 +91,13 @@ class SbmGraph:
         return BlockVector(self.block_sizes(), integer=True)
 
     def adjacency_bits(self) -> list[int]:
-        """Per-vertex neighbour bitsets (python ints)."""
+        """Per-vertex neighbour bitsets (python ints), packed from the rows
+        of the adjacency matrix."""
         if self._adj_bits is None:
-            bits = [0] * self.n
-            for u, v in self.edges:
-                bits[u] |= 1 << int(v)
-                bits[v] |= 1 << int(u)
-            self._adj_bits = bits
+            rows = np.packbits(self.adjacency_matrix() != 0, axis=1,
+                               bitorder="little")
+            self._adj_bits = [int.from_bytes(row.tobytes(), "little")
+                              for row in rows]
         return self._adj_bits
 
     def adjacency_matrix(self) -> np.ndarray:
@@ -106,32 +111,43 @@ class SbmGraph:
         return self._adj_mat
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return bool((self.adjacency_bits()[u] >> v) & 1)
+        return bool(self.adjacency_matrix()[u, v])
+
+    def _picks(self, vertices) -> np.ndarray:
+        """`vertices` as an int64 array; ModelError for a vertex outside
+        [0, n), which numpy indexing would otherwise wrap or refuse."""
+        picks = np.fromiter(vertices, dtype=np.int64)
+        if picks.size and (picks.min() < 0 or picks.max() >= self.n):
+            raise ModelError("vertex index out of range")
+        return picks
+
+    def _inside(self, vertices) -> np.ndarray:
+        """Boolean vertex mask of `vertices`."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self._picks(vertices)] = True
+        return mask
 
     def b_vector(self, vertices) -> np.ndarray:
-        """Per-block counts of a vertex subset."""
-        out = np.zeros(self.k, dtype=np.int64)
-        for v in vertices:
-            out[self.block_of[v]] += 1
-        return out
+        """Per-block counts of a vertex subset (a repeated vertex counts
+        once per occurrence)."""
+        return np.bincount(self.block_of[self._picks(vertices)],
+                           minlength=self.k)
 
     def edge_count_within(self, vertices) -> int:
-        vset = set(int(v) for v in vertices)
-        return sum(1 for u, v in self.edges if int(u) in vset and int(v) in vset)
+        inside = self._inside(vertices)
+        return int(np.count_nonzero(inside[self.edges].all(axis=1)))
 
     def subgraph(self, vertices) -> tuple["SbmGraph", list[int]]:
         """Induced subgraph on `vertices` (kept in index order) plus the map
         from new indices back to the original ones."""
-        keep = sorted(set(int(v) for v in vertices))
-        index = {v: i for i, v in enumerate(keep)}
-        edges = [(index[int(u)], index[int(v)]) for u, v in self.edges
-                 if int(u) in index and int(v) in index]
-        sub = SbmGraph(len(keep), [self.block_of[v] for v in keep], edges,
+        inside = self._inside(vertices)
+        keep = np.flatnonzero(inside)
+        index = np.cumsum(inside) - 1  # new index of each kept vertex
+        kept = self.edges[inside[self.edges].all(axis=1)]
+        sub = SbmGraph(keep.size, self.block_of[keep], index[kept],
                        provenance={"kind": "induced", "parent": self.provenance},
                        k=self.k)
-        return sub, keep
+        return sub, keep.tolist()
 
     # --- JSON graph files ---------------------------------------------------
 
@@ -140,8 +156,8 @@ class SbmGraph:
         prov.setdefault("k", self.k)
         return {
             "n": self.n,
-            "blocks": [int(b) for b in self.block_of],
-            "edges": [[int(u), int(v)] for u, v in self.edges],
+            "blocks": self.block_of.tolist(),
+            "edges": self.edges.tolist(),
             "provenance": prov,
         }
 
@@ -196,56 +212,64 @@ class BlowUpSpec:
 
     @classmethod
     def from_edges(cls, k: int, h_edges, sizes) -> "BlowUpSpec":
+        i, j = _as_pairs(h_edges).T
+        if np.any(i == j):
+            raise ModelError("H must have no self-loops")
         adj = np.zeros((k, k), dtype=np.int64)
-        for i, j in h_edges:
-            if i == j:
-                raise ModelError("H must have no self-loops")
-            adj[int(i), int(j)] = adj[int(j), int(i)] = 1
+        adj[i, j] = adj[j, i] = 1
         return cls(adj, BlockVector(sizes, integer=True))
+
+
+def _as_pairs(edges) -> np.ndarray:
+    """`edges` as an m x 2 int64 array; ModelError unless it is a sequence
+    of integer pairs (a triple, a ragged list or a non-integer entry is
+    refused, not reshaped)."""
+    try:
+        arr = np.asarray(edges)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is not None and arr.shape == (0,):
+        arr = arr.reshape(0, 2)
+    if (arr is None or arr.ndim != 2 or arr.shape[1] != 2
+            or (arr.size and not np.issubdtype(arr.dtype, np.integer))):
+        raise ModelError("edges must be a sequence of integer vertex pairs")
+    return arr.astype(np.int64, copy=False)
 
 
 def _block_of_from_sizes(sizes: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(sizes.size), sizes.astype(np.int64))
 
 
+def _sample_pairs(probs: np.ndarray, seed: int) -> np.ndarray:
+    """Edges of one draw in which pair {u, v} appears independently with
+    probability probs[u, v]: one uniform per pair u < v, all from one
+    `random` call in lexicographic pair order."""
+    u, v = np.triu_indices(probs.shape[0], 1)
+    hit = rng_from_seed(seed).random(u.size) < probs[u, v]
+    return np.column_stack((u[hit], v[hit]))
+
+
 def sample_sbm(m: ModelInstance, seed: int) -> SbmGraph:
     """One draw from the block model: pair {u,v} appears independently with
     probability p[block(u), block(v)]."""
     sizes = m.sizes.values.astype(np.int64)
-    n = int(sizes.sum())
     block_of = _block_of_from_sizes(sizes)
-    rng = rng_from_seed(seed)
-    p = m.probs.entries
-    edges = []
-    for u in range(n - 1):
-        row_p = p[block_of[u], block_of[u + 1:]]
-        draws = rng.random(n - u - 1)
-        for off in np.nonzero(draws < row_p)[0]:
-            edges.append((u, u + 1 + int(off)))
+    edges = _sample_pairs(m.probs.entries[np.ix_(block_of, block_of)], seed)
     prov = {"kind": "sbm", "seed": int(seed), "k": m.k,
             "sizes": [int(s) for s in sizes]}
-    return SbmGraph(n, block_of, edges, provenance=prov, k=m.k)
+    return SbmGraph(block_of.size, block_of, edges, provenance=prov, k=m.k)
 
 
 def blow_up(spec: BlowUpSpec) -> SbmGraph:
     """Deterministic blow-up: block i is a clique of size n_i; blocks i, j
     are completely joined iff ij is an edge of H."""
     sizes = spec.sizes.values.astype(np.int64)
-    n = int(sizes.sum())
     block_of = _block_of_from_sizes(sizes)
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    edges = []
-    for i in range(spec.k):
-        vs = range(starts[i], starts[i + 1])
-        edges.extend((u, v) for u in vs for v in vs if u < v)
-        for j in range(i + 1, spec.k):
-            if spec.h_adjacency[i, j]:
-                edges.extend((u, v) for u in vs
-                             for v in range(starts[j], starts[j + 1]))
+    joined = np.eye(spec.k, dtype=np.int64) + spec.h_adjacency  # I + A_H
+    edges = np.argwhere(np.triu(joined[np.ix_(block_of, block_of)], 1))
     prov = {"kind": "blowup", "k": spec.k, "sizes": [int(s) for s in sizes],
-            "h_edges": [[int(i), int(j)] for i in range(spec.k)
-                        for j in range(i + 1, spec.k) if spec.h_adjacency[i, j]]}
-    return SbmGraph(n, block_of, edges, provenance=prov, k=spec.k)
+            "h_edges": np.argwhere(np.triu(spec.h_adjacency, 1)).tolist()}
+    return SbmGraph(block_of.size, block_of, edges, provenance=prov, k=spec.k)
 
 
 def percolate(g: SbmGraph, p: float, seed: int) -> SbmGraph:
@@ -277,15 +301,23 @@ def _bucket_index(values: np.ndarray, buckets: int) -> np.ndarray:
     return np.clip(idx, 1, buckets)
 
 
-def chung_lu_model(u: Sequence[float], p: float, kind: str,
-                   buckets: int) -> tuple[ModelInstance, ModelInstance]:
-    """Bucketed block-model sandwich (lower, upper) for the exact pairwise
-    probabilities p*u_a*u_b ('times') or p*(u_a+u_b) ('plus')."""
+def _chung_lu_weights(u: Sequence[float]) -> np.ndarray:
+    """Chung-Lu weights as a float vector; ModelError unless u is a
+    nonempty 1-D vector with entries in [0, 1].  Each caller adds its own
+    rule for p."""
     uv = np.asarray(u, dtype=np.float64)
     if uv.ndim != 1 or uv.size == 0:
         raise ModelError("u must be a nonempty vector")
     if np.any(uv < 0.0) or np.any(uv > 1.0):
         raise ModelError("u components must lie in [0, 1]")
+    return uv
+
+
+def chung_lu_model(u: Sequence[float], p: float, kind: str,
+                   buckets: int) -> tuple[ModelInstance, ModelInstance]:
+    """Bucketed block-model sandwich (lower, upper) for the exact pairwise
+    probabilities p*u_a*u_b ('times') or p*(u_a+u_b) ('plus')."""
+    uv = _chung_lu_weights(u)
     if buckets < 1:
         raise ModelError("buckets must be >= 1")
     kk = buckets
@@ -314,11 +346,7 @@ def check_chung_lu(u: Sequence[float], p: float, kind: str) -> np.ndarray:
     """Validate exact Chung-Lu parameters; returns u as a float array.
 
     Raises ModelError unless every pair probability lies in [0, 1)."""
-    uv = np.asarray(u, dtype=np.float64)
-    if uv.ndim != 1 or uv.size == 0:
-        raise ModelError("u must be a nonempty vector")
-    if np.any(uv < 0.0) or np.any(uv > 1.0):
-        raise ModelError("u components must lie in [0, 1]")
+    uv = _chung_lu_weights(u)
     if kind == "times":
         if not 0.0 < p < 1.0:
             raise ModelError("times kind needs p in (0, 1)")
@@ -338,16 +366,11 @@ def sample_chung_lu(u: Sequence[float], p: float, kind: str,
     p*(u_a+u_b).  Every vertex is its own block in the provenance."""
     uv = check_chung_lu(u, p, kind)
     n = uv.size
-    rng = rng_from_seed(seed)
-    edges = []
-    for a in range(n - 1):
-        if kind == "times":
-            probs = p * uv[a] * uv[a + 1:]
-        else:
-            probs = p * (uv[a] + uv[a + 1:])
-        draws = rng.random(n - a - 1)
-        for off in np.nonzero(draws < probs)[0]:
-            edges.append((a, a + 1 + int(off)))
+    if kind == "times":
+        probs = np.outer(p * uv, uv)  # (p u_a) u_b, the per-pair product order
+    else:
+        probs = p * np.add.outer(uv, uv)
+    edges = _sample_pairs(probs, seed)
     prov = {"kind": f"chunglu-{kind}", "p": float(p), "seed": int(seed),
             "u": [float(v) for v in uv], "k": n}
     return SbmGraph(n, np.arange(n), edges, provenance=prov, k=n)
@@ -357,7 +380,7 @@ def union_graphs(g1: SbmGraph, g2: SbmGraph) -> SbmGraph:
     """Edge union of two graphs on the same vertex and block structure."""
     if g1.n != g2.n or g1.k != g2.k or not np.array_equal(g1.block_of, g2.block_of):
         raise ModelError("union requires identical vertex and block structure")
-    edges = np.vstack([g1.edges, g2.edges]) if g1.m + g2.m else []
+    edges = np.vstack([g1.edges, g2.edges])
     prov = {"kind": "union", "parents": [g1.provenance, g2.provenance],
             "k": g1.k}
     return SbmGraph(g1.n, g1.block_of, edges, provenance=prov, k=g1.k)

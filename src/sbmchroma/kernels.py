@@ -45,15 +45,3 @@ def best_weighted_independent_set(n: int, adj: list[int], weights,
                                                        node_limit)
     return _kernels_py.best_weighted_independent_set(n, adj, weights,
                                                      node_limit)
-
-
-def backend_for(task: str, n: int, colours_hint: int = 0) -> str:
-    """Which backend would run a given task (used by the benchmark)."""
-    if _compiled is None:
-        return "python"
-    if task == "coloring":
-        return "cython" if (n <= _compiled.MAX_VERTICES
-                            and colours_hint <= _CY_MAX_COLORS) else "python"
-    if task == "independent-set":
-        return "cython" if n <= _CY_MAX_IS_VERTICES else "python"
-    return "python"

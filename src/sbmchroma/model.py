@@ -26,10 +26,6 @@ __all__ = [
     "quadratic_form",
 ]
 
-# Absolute tolerance used for floating-point comparisons across the package
-# unless an operation states a tighter one.
-DEFAULT_TOL = 1e-9
-
 
 class ModelError(ValueError):
     """Invalid model data (asymmetric matrix, probability out of range, ...)."""
@@ -204,9 +200,6 @@ class ModelInstance:
     def n_total(self) -> int:
         return int(round(self.sizes.norm))
 
-    def pair_probability(self, block_i: int, block_j: int) -> float:
-        return float(self.probs.entries[block_i, block_j])
-
     def expected_edges(self) -> float:
         n = self.sizes.values
         p = self.probs.entries
@@ -259,13 +252,6 @@ class ModelInstance:
     def __repr__(self):
         return (f"ModelInstance(k={self.k}, n={self.n_total}, "
                 f"sigma_hint={self.sigma_hint})")
-
-
-def _round_trip_error(p: ProbMatrix, q: QMatrix) -> float:
-    """Max relative error of 1 - exp(-q) against P (used in tests)."""
-    back = -np.expm1(-q.entries)
-    denom = np.maximum(np.abs(p.entries), 1e-300)
-    return float(np.max(np.abs(back - p.entries) / denom)) if p.k else 0.0
 
 
 def log_factor(p: float) -> float:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .functionals import w_star_solve
-from .graphs import BlowUpSpec
+from .graphs import BlowUpSpec, _chung_lu_weights
 from .model import (BlockVector, ModelError, ModelInstance, ProbMatrix,
                     QMatrix, build_q, log_factor, q_star)
 
@@ -230,11 +230,7 @@ def prefix_quadratic_max(u: Sequence[float]) -> float:
 def predict_chung_lu(u: Sequence[float], p: float, kind: str) -> Prediction:
     """times: (p / (2 ln(pn))) max_U (sum u)^2/|U|;
     plus:  (p / ln(pn)) sum_i u_i.  sigma = -ln(p)/ln(n)."""
-    uv = np.asarray(u, dtype=np.float64)
-    if uv.ndim != 1 or uv.size == 0:
-        raise ModelError("u must be a nonempty vector")
-    if np.any(uv < 0.0) or np.any(uv > 1.0):
-        raise ModelError("u components must lie in [0, 1]")
+    uv = _chung_lu_weights(u)
     if uv.sum() <= 0.0:
         raise ModelError("sum of u must be positive")
     n = uv.size

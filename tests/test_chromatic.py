@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sbmchroma.chromatic import (BudgetExceededError, alpha_h,
+from sbmchroma.chromatic import (BudgetExceededError, Colouring, alpha_h,
                                  balanced_extraction_colouring,
                                  dsatur_colouring, exact_chromatic,
                                  exact_colouring, find_balanced_independent_set,
@@ -456,6 +456,9 @@ class TestAdjacencyMatrix:
         PETERSEN,
         SbmGraph(4, [0] * 4, [], k=1),
         SbmGraph(0, [], [], k=0),
+        SbmGraph(1, [0], [], k=1),
+        sample_sbm(ModelInstance.gnp(70, 0.3), 5),   # rows past one word
+        sample_sbm(ModelInstance.gnp(9, 0.6), 2),    # rows past one byte
     ])
     def test_matches_bitsets(self, g):
         mat = g.adjacency_matrix()
@@ -463,9 +466,39 @@ class TestAdjacencyMatrix:
         assert mat.shape == (g.n, g.n)
         assert mat.dtype == np.float64
         assert mat.tolist() == [[float(b) for b in row] for row in bits]
+        by_edge = [0] * g.n  # the bitsets built edge by edge
+        for u, v in g.edges.tolist():
+            by_edge[u] |= 1 << v
+            by_edge[v] |= 1 << u
+        assert g.adjacency_bits() == by_edge
+        assert all(type(b) is int for b in g.adjacency_bits())
 
     def test_cached_and_read_only(self):
         mat = PETERSEN.adjacency_matrix()
         assert PETERSEN.adjacency_matrix() is mat
+        assert PETERSEN.adjacency_bits() is PETERSEN.adjacency_bits()
         with pytest.raises(ValueError):
             mat[0, 0] = 1.0
+
+
+class TestCheckProper:
+    def test_names_first_monochromatic_edge(self):
+        rng = np.random.default_rng(4)
+        g = sample_sbm(ModelInstance.gnp(10, 0.25), 1)  # 52 of 300 proper
+        for _ in range(300):
+            col = rng.integers(0, 4, g.n)
+            col[:4] = np.arange(4)  # every colour used
+            mono = [(u, v) for u, v in g.edges.tolist() if col[u] == col[v]]
+            c = Colouring(colour_of=col, num_colours=4, method="test")
+            if mono:
+                with pytest.raises(ModelError,
+                                   match=r"monochromatic edge \(%d,%d\)$" % mono[0]):
+                    c.check_proper(g)
+            else:
+                c.check_proper(g)
+
+    def test_edgeless_and_empty(self):
+        Colouring(np.zeros(3, dtype=np.int64), 1, "t").check_proper(
+            SbmGraph(3, [0] * 3, [], k=1))
+        Colouring(np.zeros(0, dtype=np.int64), 0, "t").check_proper(
+            SbmGraph(0, [], [], k=0))

@@ -130,6 +130,18 @@ class TestChromatic:
         assert main(["chromatic", "--graph", g, "--method", "extraction"]) == 2
 
 
+    @pytest.mark.parametrize("edges", [[[0, 1, 2]], [[0, 1], [1, 2, 3]],
+                                       [[0, 1.5]]])
+    def test_malformed_edge_list_is_an_error(self, tmp_path, capsys, edges):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 4, "blocks": [0] * 4,
+                                    "edges": edges,
+                                    "provenance": {"k": 1}}))
+        code = main(["chromatic", "--graph", str(path), "--method", "dsatur"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestPredict:
     def test_gnp(self, capsys):
         code, out = run_cli(capsys, "predict", "--theorem", "gnp",

@@ -5,13 +5,82 @@ import numpy as np
 import pytest
 
 from sbmchroma.graphs import (BlowUpSpec, SbmGraph, blow_up, blow_up_as_model,
-                              chung_lu_model, percolate, sample_chung_lu,
-                              sample_sbm, union_graphs, union_model)
+                              check_chung_lu, chung_lu_model, percolate,
+                              sample_chung_lu, sample_sbm, union_graphs,
+                              union_model)
 from sbmchroma.model import BlockVector, ModelError, ModelInstance, ProbMatrix
+from sbmchroma.predictions import predict_chung_lu
+from sbmchroma.seeds import rng_from_seed
 
 
 def gnp(n, p):
     return ModelInstance.gnp(n, p)
+
+
+# --- reference implementations: one Python step per pair or per edge --------
+
+def ref_sample_sbm_edges(m, seed):
+    """Per-row loop: row u draws the pairs (u, u+1..n-1) in one call."""
+    sizes = m.sizes.values.astype(np.int64)
+    block_of = np.repeat(np.arange(sizes.size), sizes)
+    n = int(sizes.sum())
+    rng = rng_from_seed(seed)
+    p = m.probs.entries
+    edges = []
+    for u in range(n - 1):
+        draws = rng.random(n - u - 1)
+        for off in np.nonzero(draws < p[block_of[u], block_of[u + 1:]])[0]:
+            edges.append([u, u + 1 + int(off)])
+    return edges
+
+
+def ref_chung_lu_edges(u, p, kind, seed):
+    uv = np.asarray(u, dtype=np.float64)
+    n = uv.size
+    rng = rng_from_seed(seed)
+    edges = []
+    for a in range(n - 1):
+        if kind == "times":
+            probs = p * uv[a] * uv[a + 1:]
+        else:
+            probs = p * (uv[a] + uv[a + 1:])
+        draws = rng.random(n - a - 1)
+        for off in np.nonzero(draws < probs)[0]:
+            edges.append([a, a + 1 + int(off)])
+    return edges
+
+
+def ref_blow_up_edges(spec):
+    """Every pair inside a block, and every pair across a template edge."""
+    sizes = spec.sizes.values.astype(np.int64)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    edges = []
+    for i in range(spec.k):
+        vs = range(starts[i], starts[i + 1])
+        edges.extend([u, v] for u in vs for v in vs if u < v)
+        for j in range(i + 1, spec.k):
+            if spec.h_adjacency[i, j]:
+                edges.extend([u, v] for u in vs
+                             for v in range(starts[j], starts[j + 1]))
+    return sorted(edges)
+
+
+def ref_subgraph(g, vertices):
+    """(block_of, edges, mapping) of the induced subgraph, through a dict."""
+    keep = sorted(set(int(v) for v in vertices))
+    index = {v: i for i, v in enumerate(keep)}
+    edges = sorted([index[int(u)], index[int(v)]] for u, v in g.edges
+                   if int(u) in index and int(v) in index)
+    return [int(g.block_of[v]) for v in keep], edges, keep
+
+
+def subset_inputs(rng, n):
+    """Vertex subsets in the shapes callers pass: empty, all, unsorted
+    lists, lists with repeats, sets and numpy arrays."""
+    picks = [v for v in range(n) if rng.random() < 0.5]
+    shuffled = [int(v) for v in rng.permutation(picks)]
+    return [[], list(range(n)), picks, shuffled, shuffled + picks[:3],
+            set(picks), np.array(shuffled, dtype=np.int64)]
 
 
 class TestSbmGraph:
@@ -43,6 +112,59 @@ class TestSbmGraph:
         g = SbmGraph(5, [0, 0, 0, 1, 1], [], k=2)
         assert g.b_vector([0, 1, 4]).tolist() == [2, 1]
 
+    def test_rejects_first_bad_edge_in_input_order(self):
+        with pytest.raises(ModelError, match=r"edge \(0,5\) out of range"):
+            SbmGraph(3, [0] * 3, [(0, 1), (0, 5), (2, 2)], k=1)
+        with pytest.raises(ModelError, match="self-loop at vertex 2"):
+            SbmGraph(3, [0] * 3, [(0, 1), (2, 2), (0, 5)], k=1)
+        with pytest.raises(ModelError, match="self-loop at vertex 7"):
+            SbmGraph(3, [0] * 3, [(7, 7)], k=1)
+        with pytest.raises(ModelError, match=r"edge \(-1,2\) out of range"):
+            SbmGraph(3, [0] * 3, [(-1, 2)], k=1)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, 2)],                   # a triple
+        [[0, 1], [1, 2, 0]],           # ragged
+        [[0, 1], [1]],                 # ragged
+        [[]],                          # an empty pair
+        [(0, 1.5)],                    # non-integer
+        [(0.0, 1.0)],                  # float entries
+        [("0", "1")],                  # strings
+        [(0, None)],
+        [(True, False)],
+        np.array([0, 1, 1, 2]),        # flat, not m x 2
+    ])
+    def test_rejects_malformed_edge_list(self, edges):
+        with pytest.raises(ModelError, match="integer vertex pairs"):
+            SbmGraph(3, [0] * 3, edges, k=1)
+
+    @pytest.mark.parametrize("edges", [[], (), np.empty((0, 2)),
+                                       np.zeros((0, 2), dtype=np.int32)])
+    def test_accepts_empty_edge_list(self, edges):
+        g = SbmGraph(3, [0] * 3, edges, k=1)
+        assert g.m == 0 and g.edges.shape == (0, 2)
+        assert g.edges.dtype == np.int64
+
+    def test_edges_sorted_int64_read_only(self):
+        g = SbmGraph(5, [0] * 5, np.array([[4, 0], [1, 3], [0, 4], [3, 1],
+                                           [2, 1]], dtype=np.int32), k=1)
+        assert g.edges.tolist() == [[0, 4], [1, 2], [1, 3]]
+        assert g.edges.dtype == np.int64 and g.edges.shape == (3, 2)
+        with pytest.raises(ValueError):
+            g.edges[0, 0] = 1
+
+    def test_has_edge(self):
+        g = SbmGraph(3, [0] * 3, [(0, 2)], k=1)
+        assert g.has_edge(0, 2) and g.has_edge(2, 0)
+        assert not g.has_edge(0, 1) and not g.has_edge(1, 1)
+
+    @pytest.mark.parametrize("vertices", [[-1, 2], [0, 4], {5}])
+    def test_vertex_subsets_out_of_range(self, vertices):
+        g = SbmGraph(4, [0, 0, 1, 1], [(0, 3), (2, 3)], k=2)
+        for call in (g.subgraph, g.edge_count_within, g.b_vector):
+            with pytest.raises(ModelError, match="vertex index out of range"):
+                call(vertices)
+
     def test_subgraph_keeps_block_labels(self):
         g = SbmGraph(4, [0, 0, 1, 1], [(0, 1), (1, 2), (2, 3)], k=2)
         sub, mapping = g.subgraph([1, 2, 3])
@@ -62,7 +184,7 @@ class TestSampleSbm:
         m = gnp(6, 0.5)
         a, b = sample_sbm(m, 7), sample_sbm(m, 7)
         assert np.array_equal(a.edges, b.edges)
-        assert not np.array_equal(sample_sbm(m, 8).edges, a.edges) or True
+        assert not np.array_equal(sample_sbm(m, 8).edges, a.edges)
 
     def test_cross_block_mean(self):
         # 2500 cross pairs at p = 0.3 over 200 samples: mean within 3 SE
@@ -78,6 +200,108 @@ class TestSampleSbm:
                           ProbMatrix([[0.5, 0.5], [0.5, 0.5]]))
         g = sample_sbm(m, 0)
         assert g.block_of.tolist() == [0, 0, 0, 1, 1]
+
+
+class TestAgainstReferences:
+    """The numpy edge pipeline gives exactly the edges of the per-pair
+    loops: same draws, same pairs, same order."""
+
+    LAYOUTS = [[38], [1], [2], [3, 0, 4], [5, 1, 8], [4, 4, 4, 4]]
+
+    @pytest.mark.parametrize("sizes", LAYOUTS)
+    def test_sample_sbm_matches_per_row_draws(self, sizes):
+        rng = np.random.default_rng(len(sizes) * 100 + sum(sizes))
+        k = len(sizes)
+        p = rng.uniform(0.0, 0.95, (k, k))
+        m = ModelInstance(BlockVector.integral(sizes), ProbMatrix((p + p.T) / 2))
+        for seed in range(12):
+            g = sample_sbm(m, seed)
+            assert g.edges.tolist() == ref_sample_sbm_edges(m, seed)
+            assert g.block_of.tolist() == np.repeat(np.arange(k), sizes).tolist()
+
+    def test_gnp_half_matches_per_row_draws(self):
+        m = gnp(38, 0.5)
+        for seed in range(50):
+            assert sample_sbm(m, seed).edges.tolist() == ref_sample_sbm_edges(m, seed)
+
+    @pytest.mark.parametrize("kind,p", [("times", 0.9), ("times", 0.37),
+                                        ("plus", 0.45), ("plus", 0.2)])
+    def test_chung_lu_matches_per_row_draws(self, kind, p):
+        rng = np.random.default_rng(int(p * 100))
+        for n in (1, 2, 25):
+            for seed in range(20):
+                u = rng.random(n)
+                g = sample_chung_lu(u, p, kind, seed)
+                assert g.edges.tolist() == ref_chung_lu_edges(u, p, kind, seed)
+
+    def test_blow_up_matches_pair_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            k = int(rng.integers(1, 6))
+            h = np.triu((rng.random((k, k)) < 0.5).astype(np.int64), 1)
+            sizes = rng.integers(0, 5, k)
+            spec = BlowUpSpec(h + h.T, BlockVector(sizes, integer=True))
+            g = blow_up(spec)
+            assert g.edges.tolist() == ref_blow_up_edges(spec)
+            assert g.provenance["h_edges"] == np.argwhere(np.triu(h, 1)).tolist()
+
+    def test_subgraph_matches_dict_reference(self):
+        rng = np.random.default_rng(11)
+        m = ModelInstance(BlockVector.integral([4, 6, 5]),
+                          ProbMatrix([[0.3, 0.6, 0.5], [0.6, 0.2, 0.7],
+                                      [0.5, 0.7, 0.4]]))
+        for seed in range(8):
+            g = sample_sbm(m, seed)
+            for vertices in subset_inputs(rng, g.n):
+                sub, mapping = g.subgraph(vertices)
+                blocks, edges, keep = ref_subgraph(g, vertices)
+                assert mapping == keep
+                assert all(type(v) is int for v in mapping)
+                assert sub.n == len(keep) and sub.k == g.k
+                assert sub.block_of.tolist() == blocks
+                assert sub.edges.tolist() == edges
+                assert sub.provenance == {"kind": "induced",
+                                          "parent": g.provenance}
+
+    def test_counts_match_brute_force(self):
+        rng = np.random.default_rng(12)
+        m = ModelInstance(BlockVector.integral([3, 7, 5]),
+                          ProbMatrix([[0.5, 0.4, 0.3], [0.4, 0.6, 0.2],
+                                      [0.3, 0.2, 0.5]]))
+        for seed in range(8):
+            g = sample_sbm(m, seed)
+            for vertices in subset_inputs(rng, g.n):
+                vs = [int(v) for v in vertices]
+                inside = set(vs)
+                count = sum(1 for u, v in g.edges.tolist()
+                            if u in inside and v in inside)
+                assert g.edge_count_within(vertices) == count
+                expect = np.zeros(g.k, dtype=np.int64)
+                for v in vs:  # every occurrence counts
+                    expect[g.block_of[v]] += 1
+                got = g.b_vector(vertices)
+                assert got.dtype == np.int64
+                assert got.tolist() == expect.tolist()
+
+
+class TestChungLuWeights:
+    """The exact sampler, the bucketed sandwich and the prediction refuse a
+    bad `u` with one and the same error."""
+
+    @pytest.mark.parametrize("u", [[[0.2, 0.3], [0.4, 0.5]], [], [0.2, -0.1],
+                                   [0.5, 1.5]])
+    def test_same_error_everywhere(self, u):
+        messages = []
+        for call in (lambda: check_chung_lu(u, 0.3, "times"),
+                     lambda: sample_chung_lu(u, 0.3, "times", 0),
+                     lambda: chung_lu_model(u, 0.3, "times", buckets=2),
+                     lambda: predict_chung_lu(u, 0.3, "times")):
+            with pytest.raises(ModelError) as info:
+                call()
+            messages.append(str(info.value))
+        assert len(set(messages)) == 1
+        assert messages[0] in ("u must be a nonempty vector",
+                               "u components must lie in [0, 1]")
 
 
 class TestBlowUp:

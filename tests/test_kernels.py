@@ -64,10 +64,6 @@ class TestDispatcher:
     def test_backend_reported(self):
         assert kernels.BACKEND in ("cython", "python")
 
-    def test_large_graph_falls_back_to_python(self):
-        # > 64 vertices cannot use the compiled independent-set kernel
-        assert kernels.backend_for("independent-set", 65) == "python"
-
     def test_dispatch_still_correct_beyond_compiled_limits(self):
         g = sample_sbm(ModelInstance.gnp(70, 0.1), 3)
         status, chi, lower, colours = kernels.exact_coloring(
