@@ -20,7 +20,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import _kernels_py, kernels
-from .functionals import GuardError, near_optimal_integer_system, w_value
+from .functionals import (Decomposition, GuardError,
+                          near_optimal_integer_system, w_value)
 from .graphs import SbmGraph
 from .model import BlockVector, ModelError, ModelInstance
 from .seeds import derive_seed, rng_from_seed
@@ -504,7 +505,9 @@ def find_balanced_independent_set(m: ModelInstance, g_remaining: SbmGraph,
 
 def balanced_extraction_colouring(m: ModelInstance, g: SbmGraph,
                                   epsilon: float = 0.2, seed: int = 0,
-                                  effort: int = 8) -> Colouring:
+                                  effort: int = 8,
+                                  system: Optional[Decomposition] = None
+                                  ) -> Colouring:
     """Colouring built the way the upper-bound argument colours the graph:
 
     1. split the block-size vector by a near-optimal integer system;
@@ -513,9 +516,19 @@ def balanced_extraction_colouring(m: ModelInstance, g: SbmGraph,
        nu = (2 - epsilon) ln(w(n_rem)) / w(n_rem), degrading the target by
        0.8 on failure (down to singletons, which always succeed);
     3. colour whatever remains with DSATUR.
+
+    `system` is the integer system of step 1.  It depends on the model
+    only, so graphs sampled from one model can share it; its target must
+    equal g.size_vector().  None computes it here with
+    near_optimal_integer_system, seeded from `seed`.
     """
     if not 0.0 < epsilon < 1.0:
         raise ModelError("epsilon must lie in (0, 1)")
+    sizes = g.size_vector()
+    if system is not None and not np.array_equal(system.target.values,
+                                                  sizes.values):
+        raise ModelError(f"system target {system.target.values.tolist()} is not "
+                         f"the graph's block sizes {sizes.values.tolist()}")
     if g.n == 0:
         return Colouring(np.zeros(0, dtype=np.int64), 0, "extraction")
     q = m.q
@@ -523,8 +536,9 @@ def balanced_extraction_colouring(m: ModelInstance, g: SbmGraph,
     colour_of = np.full(g.n, -1, dtype=np.int64)
     next_colour = 0
 
-    system = near_optimal_integer_system(g.size_vector(), q,
-                                         seed=derive_seed(seed, 0))
+    if system is None:
+        system = near_optimal_integer_system(sizes, q, seed=derive_seed(seed, 0))
+
     by_block = [list(np.nonzero(g.block_of == b)[0]) for b in range(k)]
     offsets = [0] * k
     part_vertices: list[list[int]] = []

@@ -17,12 +17,13 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from . import chromatic as chrom
-from .functionals import GuardError, w_star_solve
+from .functionals import (Decomposition, GuardError, round_integer_system,
+                          w_star_solve)
 from .graphs import (BlowUpSpec, blow_up_as_model, check_chung_lu,
                      sample_chung_lu, sample_sbm, union_graphs, union_model)
 from .model import BlockVector, ModelError, ModelInstance, ProbMatrix, q_star
@@ -218,13 +219,30 @@ def _sample(spec: dict, seed: int):
 
 # --- predictions per grid point ----------------------------------------------
 
-def _point_predictions(spec: dict, cfg: ExperimentConfig) -> dict:
-    """All prediction columns for one grid point (replicate-independent)."""
+# The integer system a grid point's extraction rows share (see below).
+_PointSystem = Union[Decomposition, GuardError, None]
+
+
+def _point_predictions(spec: dict, cfg: ExperimentConfig
+                       ) -> tuple[dict, _PointSystem]:
+    """All prediction columns for one grid point, and the integer system
+    that every extraction row of the point shares (both are
+    replicate-independent).
+
+    One w* solve serves the chi prediction and the system.  The system is
+    None when no row extracts, and the solve's GuardError when the model is
+    too large for it; a GuardError of a solve that the prediction needs
+    propagates.
+    """
     out = {"chi_pred_qstar": None, "chi_pred_sigma": None,
            "chi_pred_model": None, "alpha_pred_qstar": None,
            "alpha_pred_sigma": None, "edges_pred": None}
     kind = spec["kind"]
     inst = _instance_for(spec)
+    model = inst if inst is not None else _instance_or_none(spec)
+    extracts = ("chi" in cfg.measures and "extraction" in cfg.chi_methods
+                and model is not None)
+    predicts = False
     if inst is not None:
         out["edges_pred"] = inst.expected_edges()
         norm = inst.sizes.norm
@@ -233,9 +251,20 @@ def _point_predictions(spec: dict, cfg: ExperimentConfig) -> dict:
             sigma = sigma_estimate(inst)
         except ModelError:
             sigma = None
-        if qs > 0.0 and qs * norm > 1.0 and sigma is not None:
-            wstar = w_star_solve(inst.sizes, inst.q,
-                                 seed=derive_seed(cfg.base_seed, 777)).w_sum
+        predicts = qs > 0.0 and qs * norm > 1.0 and sigma is not None
+    system: _PointSystem = None
+    if predicts or extracts:
+        try:
+            real = w_star_solve(model.sizes, model.q,
+                                seed=derive_seed(cfg.base_seed, 777))
+            if extracts:
+                system = round_integer_system(real, model.q)
+        except GuardError as exc:
+            if predicts:
+                raise
+            system = exc
+        if predicts:
+            wstar = real.w_sum
             out["chi_pred_qstar"] = wstar / (2.0 * math.log(qs * norm))
             out["chi_pred_sigma"] = wstar / (2.0 * (1.0 - sigma) * math.log(norm))
             out["alpha_pred_qstar"] = math.log(qs * norm)
@@ -265,16 +294,12 @@ def _point_predictions(spec: dict, cfg: ExperimentConfig) -> dict:
                 kind.removeprefix("chunglu-")).chi_predicted
         except ModelError:
             pass
-        try:
-            vm = _vertex_model_for(spec)
-        except ModelError:
-            vm = None
-        if vm is not None:
-            qs = q_star(vm.q)
-            if qs > 0.0 and qs * vm.sizes.norm > 1.0:
-                out["alpha_pred_qstar"] = math.log(qs * vm.sizes.norm)
-            out["edges_pred"] = vm.expected_edges()
-    return out
+        if model is not None:
+            qs = q_star(model.q)
+            if qs > 0.0 and qs * model.sizes.norm > 1.0:
+                out["alpha_pred_qstar"] = math.log(qs * model.sizes.norm)
+            out["edges_pred"] = model.expected_edges()
+    return out, system
 
 
 @dataclass
@@ -317,7 +342,8 @@ _RATIO_SPEC = (
 
 
 def _measure_row(cfg: ExperimentConfig, point_idx: int, replicate: int,
-                 spec: dict, preds: dict, params: dict) -> ReportRow:
+                 spec: dict, preds: dict, params: dict,
+                 system: _PointSystem) -> ReportRow:
     seed = mix_seed(cfg.base_seed, point_idx, replicate)
     t0 = time.perf_counter()
     status: list[str] = []
@@ -340,11 +366,14 @@ def _measure_row(cfg: ExperimentConfig, point_idx: int, replicate: int,
                         g, seed=derive_seed(seed, 10)).num_colours)
                 elif inst is None:
                     status.append("extraction_skipped_no_model")
+                elif isinstance(system, GuardError):
+                    status.append(f"extraction_guard[{system}]")
                 else:
                     values[col] = float(chrom.balanced_extraction_colouring(
                         inst, g, epsilon=cfg.epsilon,
                         seed=derive_seed(seed, 11),
-                        effort=cfg.extraction_effort).num_colours)
+                        effort=cfg.extraction_effort,
+                        system=system).num_colours)
             except chrom.BudgetExceededError as exc:
                 status.append(f"{method}_budget[{exc.lower},{exc.upper}]")
             except GuardError as exc:
@@ -366,9 +395,8 @@ def _measure_row(cfg: ExperimentConfig, point_idx: int, replicate: int,
 
 
 def _run_cell(args):
-    cfg_dict, point_idx, replicate, spec, preds, params = args
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    return _measure_row(cfg, point_idx, replicate, spec, preds, params)
+    cfg_dict, *cell = args
+    return _measure_row(ExperimentConfig.from_dict(cfg_dict), *cell)
 
 
 def _fmt(x) -> str:
@@ -400,9 +428,9 @@ def run_experiment(cfg: ExperimentConfig, out_path: str) -> list[ReportRow]:
         if spec["kind"] in ("chunglu-times", "chunglu-plus"):  # fail fast
             check_chung_lu(spec["u"], float(spec["p"]),
                            spec["kind"].removeprefix("chunglu-"))
-        preds = _point_predictions(spec, cfg)  # block kinds fail here
+        preds, system = _point_predictions(spec, cfg)  # block kinds fail here
         for replicate in range(cfg.replicates):
-            cells.append((point_idx, replicate, spec, preds, params))
+            cells.append((point_idx, replicate, spec, preds, params, system))
 
     if cfg.workers > 1:
         cfg_dict = dict(asdict(cfg), workers=1)

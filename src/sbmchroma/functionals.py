@@ -34,6 +34,7 @@ __all__ = [
     "w_star_solve",
     "w_ell",
     "near_optimal_integer_system",
+    "round_integer_system",
     "is_pseudodefinite",
     "w_star_bounds",
 ]
@@ -399,6 +400,29 @@ def _solve_system(xv: np.ndarray, qm: np.ndarray, n_parts: int, restarts: int,
     return _w_sum(parts, qm), parts
 
 
+def _search_parts(x: BlockVector, q: QMatrix, max_parts: int, restarts: int,
+                  seed: int) -> tuple[float, list[np.ndarray], str]:
+    """(w-sum, parts, method) of the best system of at most max_parts
+    vectors found for a nonzero x: the one-part system, then the best over
+    part counts 2..max_parts (each count a feasible set containing the
+    previous ones), or the light search above _FULL_SEARCH_MAX_K blocks."""
+    xv = x.values
+    qm = q.entries
+    best, parts = _w_sum([xv], qm), [xv.copy()]
+    if is_pseudodefinite(q):
+        return best, parts, "pseudodefinite-shortcut"
+    if x.k > _FULL_SEARCH_MAX_K:
+        val, cand = _light_candidates(xv, qm, rng_from_seed(derive_seed(seed, 0)))
+        if len(cand) <= max_parts:  # only systems within the part budget count
+            best, parts = val, cand
+        return best, parts, "light-search"
+    for m in range(2, max_parts + 1):
+        total, cand = _solve_system(xv, qm, m, restarts, derive_seed(seed, m))
+        if total < best - 1e-12:
+            best, parts = total, cand
+    return best, parts, "local-search"
+
+
 def w_star_solve(x: BlockVector, q: QMatrix, restarts: int = 4,
                  seed: int = 0) -> Decomposition:
     """Heuristic w*(x, Q): best-found system of at most k parts.
@@ -409,31 +433,13 @@ def w_star_solve(x: BlockVector, q: QMatrix, restarts: int = 4,
     """
     if x.k != q.k:
         raise ModelError("dimension mismatch")
-    xv = x.values
-    qm = q.entries
-    k = x.k
     target = BlockVector(x.values, integer=x.is_integer)
     if x.norm == 0.0:
         return Decomposition(parts=[], target=target, w_sum=0.0, method="empty")
-    single_val = _w_sum([xv], qm)
-    if is_pseudodefinite(q):
-        dec = Decomposition(parts=[BlockVector(xv.copy(), integer=x.is_integer)],
-                            target=target, w_sum=single_val,
-                            method="pseudodefinite-shortcut")
-        dec.validate()
-        return dec
-    if k > _FULL_SEARCH_MAX_K:
-        best, parts = _light_candidates(xv, qm, rng_from_seed(derive_seed(seed, 0)))
-        method = "light-search"
-    else:
-        best, parts = single_val, [xv.copy()]
-        method = "local-search"
-        for m in range(2, k + 1):
-            total, cand = _solve_system(xv, qm, m, restarts, derive_seed(seed, m))
-            if total < best - 1e-12:
-                best, parts = total, cand
-    dec = Decomposition(parts=[BlockVector(p) for p in parts], target=target,
-                        w_sum=best, method=method)
+    best, parts, method = _search_parts(x, q, x.k, restarts, seed)
+    integer = x.is_integer and method == "pseudodefinite-shortcut"
+    dec = Decomposition(parts=[BlockVector(p, integer=integer) for p in parts],
+                        target=target, w_sum=best, method=method)
     dec.validate()
     return dec
 
@@ -442,28 +448,17 @@ def w_ell(x: BlockVector, q: QMatrix, ell: int, seed: int = 0,
           restarts: int = 4) -> float:
     """Heuristic value of the at-most-ell-part relaxation.
 
-    Values accumulate over part counts 1..ell (the feasible sets nest), so
-    the reported sequence is monotone nonincreasing in ell.
+    The same search as w_star_solve with the part count capped at ell, so
+    the values are monotone nonincreasing in ell and w_ell at ell = k is
+    the w_star_solve value for the same seed.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if x.k != q.k:
         raise ModelError("dimension mismatch")
-    best = w_value(x, q).value
-    if x.norm == 0.0 or is_pseudodefinite(q):
-        return best
-    if x.k > _FULL_SEARCH_MAX_K:
-        if ell == 1:
-            return best
-        val, parts = _light_candidates(x.values, q.entries,
-                                       rng_from_seed(derive_seed(seed, 0)))
-        # only systems that respect the part budget count for w_ell
-        return min(best, val) if len(parts) <= ell else best
-    for m in range(2, ell + 1):
-        total, _ = _solve_system(x.values, q.entries, m, restarts,
-                                 derive_seed(seed, m))
-        best = min(best, total)
-    return best
+    if x.norm == 0.0:
+        return 0.0
+    return _search_parts(x, q, ell, restarts, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -582,25 +577,35 @@ def w_star_bruteforce(x: BlockVector, q: QMatrix) -> Decomposition:
 def near_optimal_integer_system(x: BlockVector, q: QMatrix,
                                 seed: int = 0) -> Decomposition:
     """Integer system of at most k parts summing exactly to x, with w-sum
-    within k^2 q* (plus solver tolerance) of the heuristic real optimum.
-
-    Floors a near-optimal real system, then re-adds every rounding-remainder
-    unit to whichever part (or fresh part, while fewer than k exist) grows
-    the least; the all-singletons and one-part systems compete as fallbacks.
-    """
+    within k^2 q* (plus solver tolerance) of the heuristic real optimum:
+    round_integer_system applied to w_star_solve(x, q)."""
     if not x.is_integer:
         raise ModelError("near-optimal integer system needs an integer vector")
     if x.k != q.k:
         raise ModelError("dimension mismatch")
+    return round_integer_system(w_star_solve(x, q, seed=derive_seed(seed, 0)), q)
+
+
+def round_integer_system(real: Decomposition, q: QMatrix) -> Decomposition:
+    """Integer system of at most k parts summing exactly to real.target.
+
+    Floors the parts of the real system, then re-adds every
+    rounding-remainder unit to whichever part (or fresh part, while fewer
+    than k exist) grows the least; the all-singletons and one-part systems
+    compete as fallbacks.  Depends on the real system only, so one solve
+    can be rounded once and shared.
+    """
+    x = real.target
+    if not x.is_integer:
+        raise ModelError("rounding to an integer system needs an integer target")
+    if x.k != q.k:
+        raise ModelError("dimension mismatch")
     k = x.k
     xi = np.asarray(x.as_ints(), dtype=np.int64)
-    target = BlockVector(x.values, integer=True)
     qm = q.entries
     if xi.sum() == 0:
-        return Decomposition(parts=[], target=target, w_sum=0.0,
+        return Decomposition(parts=[], target=x, w_sum=0.0,
                              method="integer-empty")
-
-    base = w_star_solve(x, q, seed=derive_seed(seed, 0))
 
     def greedy_round(real_parts: list[np.ndarray]) -> list[np.ndarray]:
         parts = [np.floor(p + 1e-9).astype(np.int64) for p in real_parts]
@@ -634,13 +639,13 @@ def near_optimal_integer_system(x: BlockVector, q: QMatrix,
         return float(_w_batch(np.asarray(parts, dtype=np.float64), qm).sum())
 
     candidates: list[list[np.ndarray]] = [
-        greedy_round([p.values for p in base.parts]),
+        greedy_round([p.values for p in real.parts]),
         [xi * (np.arange(k) == i) for i in range(k) if xi[i] > 0],  # singletons
         [xi.copy()],                                                # one part
     ]
     best_val, best_idx = min((sum_w(c), idx) for idx, c in enumerate(candidates))
     parts = [BlockVector(p, integer=True) for p in candidates[best_idx]]
-    dec = Decomposition(parts=parts, target=target, w_sum=best_val,
+    dec = Decomposition(parts=parts, target=x, w_sum=best_val,
                         method="integer-greedy")
     dec.validate()
     return dec

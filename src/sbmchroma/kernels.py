@@ -30,11 +30,25 @@ _CY_MAX_COLORS = 64
 _CY_MAX_IS_VERTICES = 64
 
 
+def _fits_compiled_colours(n: int, adj: list[int]) -> bool:
+    """True when the compiled DSATUR needs at most 64 colours.
+
+    That DSATUR never reaches its own "more than 64 colours" refusal: at a
+    vertex that sees all 64 colours its search for a free colour shifts a
+    64-bit mask by 64 or more and does not end.  A greedy colouring uses at
+    most max degree + 1 colours, so only graphs with a vertex of degree 64
+    or more pay for the pure-Python DSATUR, which colours like the compiled
+    one.
+    """
+    if max((a.bit_count() for a in adj), default=0) < _CY_MAX_COLORS:
+        return True
+    return _kernels_py.dsatur_greedy(n, adj)[0] <= _CY_MAX_COLORS
+
+
 def exact_coloring(n: int, adj: list[int], budget: int):
-    if _compiled is not None and n <= _compiled.MAX_VERTICES:
-        ub, _ = _kernels_py.dsatur_greedy(n, adj)
-        if ub <= _CY_MAX_COLORS:
-            return _compiled.exact_coloring(n, adj, budget)
+    if (_compiled is not None and n <= _compiled.MAX_VERTICES
+            and _fits_compiled_colours(n, adj)):
+        return _compiled.exact_coloring(n, adj, budget)
     return _kernels_py.exact_coloring(n, adj, budget)
 
 

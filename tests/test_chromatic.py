@@ -11,9 +11,10 @@ from sbmchroma.chromatic import (BudgetExceededError, Colouring, alpha_h,
                                  exact_colouring, find_balanced_independent_set,
                                  independent_set_probability, max_avg_degree,
                                  partition_objective)
-from sbmchroma.functionals import GuardError
+from sbmchroma.functionals import GuardError, near_optimal_integer_system
 from sbmchroma.graphs import BlowUpSpec, SbmGraph, blow_up, sample_sbm
 from sbmchroma.model import BlockVector, ModelError, ModelInstance, ProbMatrix
+from sbmchroma.seeds import derive_seed
 
 
 def complete_graph(n):
@@ -337,6 +338,31 @@ class TestBalancedExtraction:
         g = sample_sbm(m, 1)
         with pytest.raises(ModelError):
             balanced_extraction_colouring(m, g, epsilon=1.5)
+
+    def test_given_system_colours_like_the_default(self):
+        m = ModelInstance(BlockVector.integral([7, 6, 8]),
+                          ProbMatrix([[0.1, 0.6, 0.7], [0.6, 0.2, 0.5],
+                                      [0.7, 0.5, 0.15]]))
+        for s in range(4):
+            g = sample_sbm(m, 40 + s)
+            system = near_optimal_integer_system(g.size_vector(), m.q,
+                                                 seed=derive_seed(s, 0))
+            assert len(system.parts) > 1
+            assert np.array_equal(
+                balanced_extraction_colouring(m, g, seed=s, system=system).colour_of,
+                balanced_extraction_colouring(m, g, seed=s).colour_of)
+
+    @pytest.mark.parametrize("target", [[5, 4], [4, 5, 0], [9]])
+    def test_rejects_system_for_other_sizes(self, target):
+        m = ModelInstance(BlockVector.integral([4, 5]),
+                          ProbMatrix([[0.1, 0.6], [0.6, 0.2]]))
+        g = sample_sbm(m, 2)
+        q = m.q if len(target) == 2 else ModelInstance(
+            BlockVector.integral(target),
+            ProbMatrix(np.full((len(target),) * 2, 0.3))).q
+        system = near_optimal_integer_system(BlockVector.integral(target), q)
+        with pytest.raises(ModelError, match="block sizes"):
+            balanced_extraction_colouring(m, g, system=system)
 
     def test_exact_never_above_heuristics(self):
         rng = np.random.default_rng(8)

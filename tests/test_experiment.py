@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from sbmchroma import experiment
+from sbmchroma import experiment, functionals
 from sbmchroma.experiment import (ConfigError, ExperimentConfig, emit_plotdata,
                                   run_experiment)
+from sbmchroma.functionals import w_star_solve
 from sbmchroma.graphs import sample_sbm
 from sbmchroma.model import ModelError
 from sbmchroma.seeds import mix_seed
@@ -183,6 +184,31 @@ class TestRunExperiment:
             sweep=[{"param": "n", "values": [10, 12]}], replicates=3))
         rows = run_experiment(cfg, str(tmp_path / "r.csv"))
         assert sorted(calls) == sorted(r.seed for r in rows)
+
+    @pytest.mark.parametrize("model, sweep", [
+        ({"kind": "sbm", "sizes": [5, 5, 5],
+          "P": [[0.1, 0.6, 0.7], [0.6, 0.2, 0.5], [0.7, 0.5, 0.15]]},
+         {"param": "P.0.1", "values": [0.6, 0.8]}),
+        # no prediction solve here: the point's one solve is the extraction's
+        ({"kind": "chunglu-times", "u": [0.4, 0.6, 0.8, 0.9, 1.0, 0.5],
+          "p": 0.7}, {"param": "p", "values": [0.7, 0.9]}),
+    ])
+    def test_one_wstar_solve_per_grid_point(self, tmp_path, monkeypatch,
+                                            model, sweep):
+        calls = []
+
+        def counting(x, q, *args, **kwargs):
+            calls.append(x.values.tolist())
+            return w_star_solve(x, q, *args, **kwargs)
+        monkeypatch.setattr(experiment, "w_star_solve", counting)
+        monkeypatch.setattr(functionals, "w_star_solve", counting)
+        cfg = ExperimentConfig.from_dict(base_config(
+            model=model, sweep=[sweep], replicates=3,
+            chi_methods=["dsatur", "extraction"]))
+        rows = run_experiment(cfg, str(tmp_path / "r.csv"))
+        assert len(rows) == 6
+        assert all("chi_extraction" in r.values for r in rows)
+        assert len(calls) == 2
 
     def test_worker_pool_matches_serial(self, tmp_path):
         # every setting below changes this report on its own, so a setting

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from sbmchroma import functionals
 from sbmchroma.functionals import (GuardError, is_pseudodefinite,
-                                   near_optimal_integer_system, w_ell,
+                                   near_optimal_integer_system,
+                                   round_integer_system, w_ell,
                                    w_star_bounds, w_star_bruteforce,
                                    w_star_solve, w_value, w_value_sampled)
-from sbmchroma.model import BlockVector, QMatrix, q_star
+from sbmchroma.model import BlockVector, ModelError, QMatrix, q_star
+from sbmchroma.seeds import derive_seed
 
 
 def rand_qmatrix(rng, k, hi=3.0):
@@ -297,6 +299,15 @@ class TestWEll:
                 assert star - 1e-6 <= v <= top + 1e-9
 
 
+    def test_ell_k_is_the_w_star_solve_value(self):
+        # one part-count loop serves both
+        rng = np.random.default_rng(12)
+        for i in range(12):
+            k = int(rng.integers(2, 5))
+            q = rand_qmatrix(rng, k)
+            x = BlockVector(rng.uniform(0.1, 5, k))
+            assert w_ell(x, q, k, seed=i) == w_star_solve(x, q, seed=i).w_sum
+
 class TestNearOptimalIntegerSystem:
     def test_cross_instance(self):
         x = BlockVector.integral([1, 1])
@@ -325,6 +336,27 @@ class TestNearOptimalIntegerSystem:
                 total += p.values
             assert np.array_equal(total, x.values.astype(float))
             assert len(dec.parts) <= k
+
+    def test_is_the_rounding_of_one_solve(self):
+        rng = np.random.default_rng(13)
+        for i in range(20):
+            k = int(rng.integers(1, 5))
+            q = rand_qmatrix(rng, k)
+            x = BlockVector(rng.integers(0, 7, k), integer=True)
+            real = w_star_solve(x, q, seed=derive_seed(i, 0))
+            a = near_optimal_integer_system(x, q, seed=i)
+            b = round_integer_system(real, q)
+            assert (a.w_sum, a.method) == (b.w_sum, b.method)
+            assert ([p.values.tolist() for p in a.parts]
+                    == [p.values.tolist() for p in b.parts])
+
+    def test_rounding_needs_an_integer_target_of_q_dimension(self):
+        with pytest.raises(ModelError):
+            round_integer_system(w_star_solve(BlockVector([1.5, 2.0]), Q_CROSS),
+                                 Q_CROSS)
+        with pytest.raises(ModelError):
+            round_integer_system(w_star_solve(BlockVector.integral([1, 2]),
+                                              Q_CROSS), QMatrix(np.eye(3)))
 
     def test_within_k_squared_qstar_of_heuristic(self):
         rng = np.random.default_rng(10)

@@ -1,6 +1,11 @@
+import importlib.util
 import json
+import os
 import re
+import shutil
+import sysconfig
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,13 +15,31 @@ from sbmchroma import kernels
 from sbmchroma.graphs import sample_sbm
 from sbmchroma.model import ModelInstance
 
-try:
-    from sbmchroma import _kernels_cy as kcy
-except ImportError:
-    kcy = None
+SRC = Path(__file__).resolve().parent.parent / "src" / "sbmchroma"
 
-needs_compiled = pytest.mark.skipif(kcy is None,
-                                    reason="compiled kernels unavailable")
+
+@pytest.fixture(scope="session")
+def kcy(tmp_path_factory):
+    """The compiled kernels, built from the shipped _kernels_cy.c into a
+    temporary directory and imported from there, so that parity runs
+    wherever a C compiler exists, installed extension or not."""
+    compiler = (os.environ.get("CC") or sysconfig.get_config_var("CC")
+                or "cc").split()[0]
+    if shutil.which(compiler) is None:
+        pytest.skip(f"no C compiler ({compiler}) to build the compiled kernels")
+    from setuptools import Distribution, Extension
+
+    out = tmp_path_factory.mktemp("kernels_cy")
+    ext = Extension("sbmchroma._kernels_cy", [str(SRC / "_kernels_cy.c")])
+    build = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
+    build.build_lib, build.build_temp = str(out), str(out / "tmp")
+    build.ensure_finalized()
+    build.run()
+    spec = importlib.util.spec_from_file_location(
+        ext.name, build.get_ext_fullpath(ext.name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_adj(rng, n, p):
@@ -29,9 +52,27 @@ def random_adj(rng, n, p):
     return adj
 
 
-@needs_compiled
+def join_adj(a: list[int], b: list[int]) -> list[int]:
+    """Adjacency of the join of two graphs: every vertex of `a` is joined
+    to every vertex of `b`, whose vertices come after those of `a`."""
+    na, nb = len(a), len(b)
+    all_a, all_b = (1 << na) - 1, ((1 << nb) - 1) << na
+    return [m | all_b for m in a] + [(m << na) | all_a for m in b]
+
+
+def clique_adj(n: int) -> list[int]:
+    return [((1 << n) - 1) & ~(1 << v) for v in range(n)]
+
+
+def random_weights(rng, n):
+    w = rng.uniform(0, 2, (n, n))
+    w = (w + w.T) / 2
+    np.fill_diagonal(w, 0.0)
+    return [float(v) for v in w.ravel()]
+
+
 class TestBackendParity:
-    def test_exact_coloring_identical(self):
+    def test_exact_coloring_identical(self, kcy):
         rng = np.random.default_rng(0)
         for _ in range(60):
             n = int(rng.integers(1, 24))
@@ -39,19 +80,16 @@ class TestBackendParity:
             assert (kpy.exact_coloring(n, adj, 10 ** 8)
                     == kcy.exact_coloring(n, adj, 10 ** 8))
 
-    def test_weighted_independent_set_identical(self):
+    def test_weighted_independent_set_identical(self, kcy):
         rng = np.random.default_rng(1)
         for _ in range(60):
             n = int(rng.integers(1, 20))
             adj = random_adj(rng, n, float(rng.uniform(0.05, 0.95)))
-            w = rng.uniform(0, 2, (n, n))
-            w = (w + w.T) / 2
-            np.fill_diagonal(w, 0.0)
-            flat = [float(v) for v in w.ravel()]
+            flat = random_weights(rng, n)
             assert (kpy.best_weighted_independent_set(n, adj, flat, 10 ** 7)
                     == kcy.best_weighted_independent_set(n, adj, flat, 10 ** 7))
 
-    def test_budget_exceeded_status_matches(self):
+    def test_budget_exceeded_status_matches(self, kcy):
         rng = np.random.default_rng(2)
         adj = random_adj(rng, 30, 0.5)
         s_py = kpy.exact_coloring(30, adj, 5)
@@ -59,10 +97,105 @@ class TestBackendParity:
         assert s_py[0] == s_cy[0] == kernels.BUDGET_EXCEEDED
         assert s_py[1:3] == s_cy[1:3]
 
+    def test_exact_coloring_identical_24_to_48(self, kcy):
+        rng = np.random.default_rng(3)
+        searched = 0
+        for _ in range(40):
+            n = int(rng.integers(24, 49))
+            adj = random_adj(rng, n, float(rng.uniform(0.1, 0.9)))
+            ub, _ = kpy.dsatur_greedy(n, adj)
+            searched += ub > len(kpy.greedy_clique(n, adj))
+            assert (kpy.exact_coloring(n, adj, 10 ** 6)
+                    == kcy.exact_coloring(n, adj, 10 ** 6)), n
+        assert searched >= 20  # most graphs need the branch and bound
+
+    def test_weighted_independent_set_identical_20_to_64(self, kcy):
+        rng = np.random.default_rng(4)
+        for n in [*rng.integers(20, 41, size=24), 63, 64]:
+            n = int(n)
+            adj = random_adj(rng, n, float(rng.uniform(0.1, 0.9)))
+            flat = random_weights(rng, n)
+            # a node limit that some searches hit: the partial results
+            # must agree too
+            assert (kpy.best_weighted_independent_set(n, adj, flat, 10 ** 5)
+                    == kcy.best_weighted_independent_set(n, adj, flat, 10 ** 5)), n
+
+    @pytest.mark.parametrize("n", [65, 127, 128, 129, 200, 512])
+    def test_exact_coloring_identical_multi_word(self, kcy, n):
+        rng = np.random.default_rng(n)
+        for p in (0.02, 0.1, 0.3):
+            adj = random_adj(rng, n, p)
+            assert (kpy.exact_coloring(n, adj, 10 ** 4)
+                    == kcy.exact_coloring(n, adj, 10 ** 4)), p
+
+
+class _Recording:
+    """Stands in for the compiled module and counts colouring calls."""
+
+    def __init__(self, inner):
+        self.MAX_VERTICES = getattr(inner, "MAX_VERTICES", 512)
+        self.calls = 0
+        self._inner = inner
+
+    def exact_coloring(self, n, adj, budget):
+        self.calls += 1
+        return self._inner.exact_coloring(n, adj, budget)
+
+
+class TestDispatcherWithCompiled:
+    @pytest.fixture
+    def compiled(self, kcy, monkeypatch):
+        rec = _Recording(kcy)
+        monkeypatch.setattr(kernels, "_compiled", rec)
+        return rec
+
+    def test_compiled_runs_at_high_degree_when_colours_fit(self, compiled):
+        rng = np.random.default_rng(5)
+        adj = random_adj(rng, 200, 0.5)  # degrees near 100, DSATUR < 64
+        assert max(a.bit_count() for a in adj) >= 64
+        assert (kernels.exact_coloring(200, adj, 10 ** 3)
+                == kpy.exact_coloring(200, adj, 10 ** 3))
+        assert compiled.calls == 1
+
+    def test_compiled_matches_below_degree_64(self, compiled):
+        g = sample_sbm(ModelInstance.gnp(300, 0.05), 6)
+        adj = g.adjacency_bits()
+        assert (kernels.exact_coloring(g.n, adj, 10 ** 4)
+                == kpy.exact_coloring(g.n, adj, 10 ** 4))
+        assert compiled.calls == 1
+
 
 class TestDispatcher:
     def test_backend_reported(self):
         assert kernels.BACKEND in ("cython", "python")
+
+    def test_no_dsatur_pre_check_below_degree_64(self, monkeypatch):
+        def no_dsatur(*args):
+            raise AssertionError("pure-Python DSATUR ran before the kernel")
+        compiled = _Recording(SimpleNamespace(
+            exact_coloring=lambda n, adj, budget: "compiled"))
+        monkeypatch.setattr(kernels, "_compiled", compiled)
+        monkeypatch.setattr(kpy, "dsatur_greedy", no_dsatur)
+        assert kernels.exact_coloring(64, clique_adj(64), 10) == "compiled"
+        assert compiled.calls == 1
+
+    @pytest.mark.parametrize("adj, chi", [
+        pytest.param(clique_adj(70), 70, id="K70"),
+        # clique 66, chi 67: the search runs above 64 colours
+        pytest.param(join_adj(clique_adj(64), [0b10010, 0b00101, 0b01010,
+                                               0b10100, 0b01001]),
+                     67, id="K64-join-C5"),
+    ])
+    def test_falls_back_above_64_colours(self, monkeypatch, adj, chi):
+        def never(n, adj, budget):
+            raise AssertionError("the compiled DSATUR does not return on a "
+                                 "graph that needs more than 64 colours")
+        monkeypatch.setattr(kernels, "_compiled",
+                            SimpleNamespace(MAX_VERTICES=512, exact_coloring=never))
+        n = len(adj)
+        got = kernels.exact_coloring(n, adj, 10 ** 6)
+        assert got == kpy.exact_coloring(n, adj, 10 ** 6)
+        assert got[:3] == (kernels.OK, chi, chi)
 
     def test_dispatch_still_correct_beyond_compiled_limits(self):
         g = sample_sbm(ModelInstance.gnp(70, 0.1), 3)
@@ -89,7 +222,6 @@ class TestPurePythonKernels:
         assert status == kernels.OK and h == 0.0 and mask == 1
 
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sbmchroma"
 _ORIGIN = re.compile(r'^\s*/\* "sbmchroma/_kernels_cy\.pyx":(\d+)$')
 _MARK = "             # <<<<<<<<<<<<<<"
 
