@@ -44,6 +44,9 @@ __all__ = [
 DEFAULT_COLOURING_BUDGET = 10 ** 8
 _ALPHA_EXACT_HARD_N = 512    # beyond this even the node-capped search refuses
 _ALPHA_ENUM_GUARD = 10 ** 7
+# node budget of the exact first try in alpha_h's "exact-first" mode: about
+# 0.1 s of pure Python, one or two local searches' worth at n <= 100
+_ALPHA_FIRST_TRY_NODES = 10 ** 5
 _MAD_BRUTE_MAX_N = 20
 
 
@@ -94,9 +97,14 @@ def _canonical_colouring(raw: Sequence[int], method: str) -> Colouring:
 
 @dataclass(frozen=True)
 class WeightedIndepResult:
+    """A set U attaining `h_value` = h(U); `exact` says it is a proven
+    maximum.  `nodes` counts the branch-and-bound nodes spent (0 when only
+    the local search ran)."""
+
     best_set: frozenset[int]
     h_value: float
     exact: bool
+    nodes: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -320,31 +328,47 @@ def alpha_h(m: ModelInstance, g: SbmGraph, mode: str = "exact",
             seed: int = 0) -> WeightedIndepResult:
     """Weighted independence number: maximise h(U) over independent sets.
 
-    Exact mode enumerates independent sets by branch and bound with the
-    pruning bound h(U) <= (|U|-1) max_q / 2; instances are in-guard when
-    n <= 40 or the enumeration stays below 1e7 nodes.  Heuristic mode is a
-    seeded ruin-and-recreate local search.
+    "exact" enumerates independent sets by branch and bound with the
+    pruning bound h(U) <= (|U|-1) max_q / 2, and raises GuardError past 1e7
+    nodes or n > 512.  "heuristic" is the seeded ruin-and-recreate local
+    search alone.  "exact-first" runs the branch and bound under a budget of
+    1e5 nodes and returns its proven maximum when it finishes; otherwise it
+    runs the local search and returns whichever of its set and the
+    enumeration's incumbent has the larger h, with exact=False.  So it is
+    never below "heuristic" at the same seed.  Past n = 512 it runs the
+    local search alone.  Both budgets count nodes, so every mode is
+    deterministic.
     """
     if g.n == 0:
         raise ModelError("alpha_h of the empty graph is undefined")
-    if mode == "exact":
-        if g.n > _ALPHA_EXACT_HARD_N:
-            raise GuardError(f"exact alpha_h refuses n > {_ALPHA_EXACT_HARD_N}")
-        weights = _pair_weights(m, g).ravel()
-        status, _, mask, _ = kernels.best_weighted_independent_set(
-            g.n, g.adjacency_bits(), [float(w) for w in weights],
-            _ALPHA_ENUM_GUARD)
-        if status == kernels.BUDGET_EXCEEDED:
-            raise GuardError("independent-set enumeration exceeded 1e7 nodes")
-        best = frozenset(v for v in range(g.n) if (mask >> v) & 1)
-        exact = True
-    elif mode == "heuristic":
-        best = _alpha_h_local_search(m, g, seed)
-        exact = False
-    else:
+    if mode not in ("exact", "heuristic", "exact-first"):
         raise ValueError(f"unknown alpha_h mode {mode!r}")
-    h = -independent_set_probability(m, best, block_of=g.block_of) / len(best)
-    return WeightedIndepResult(best_set=best, h_value=h, exact=exact)
+    if mode == "exact" and g.n > _ALPHA_EXACT_HARD_N:
+        raise GuardError(f"exact alpha_h refuses n > {_ALPHA_EXACT_HARD_N}")
+    if mode == "heuristic" or g.n > _ALPHA_EXACT_HARD_N:
+        local = _alpha_h_local_search(m, g, seed)
+        return WeightedIndepResult(local, _h_of_set(m, g, local), False)
+    limit = _ALPHA_ENUM_GUARD if mode == "exact" else _ALPHA_FIRST_TRY_NODES
+    status, _, mask, nodes = kernels.best_weighted_independent_set(
+        g.n, g.adjacency_bits(), _pair_weights(m, g).ravel().tolist(), limit)
+    if status != kernels.OK and mode == "exact":
+        raise GuardError("independent-set enumeration exceeded 1e7 nodes")
+    best = frozenset(v for v in range(g.n) if (mask >> v) & 1)
+    h = _h_of_set(m, g, best)
+    if status == kernels.OK:
+        return WeightedIndepResult(best, h, True, nodes)
+    # out of budget: the incumbent unless the local search beats it
+    local = _alpha_h_local_search(m, g, seed)
+    h_local = _h_of_set(m, g, local)
+    if h_local > h:
+        best, h = local, h_local
+    return WeightedIndepResult(best, h, False, nodes)
+
+
+def _h_of_set(m: ModelInstance, g: SbmGraph, members: frozenset[int]) -> float:
+    """h(U) = -ln Pr(U independent) / |U| for a nonempty U."""
+    return (-independent_set_probability(m, members, block_of=g.block_of)
+            / len(members))
 
 
 def _refill(amat: np.ndarray, block_of: np.ndarray, ind: np.ndarray,

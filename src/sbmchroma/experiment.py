@@ -157,24 +157,26 @@ def _apply_param(spec: dict, name: str, value) -> None:
 
 # --- model realisation ------------------------------------------------------
 
-def _instance_for(spec: dict) -> Optional[ModelInstance]:
-    """Block-model instance for a model spec; None for per-vertex kinds."""
+def _block_models(spec: dict) -> tuple[Optional[ModelInstance], tuple]:
+    """(block-model instance, the instances its graphs are sampled from)
+    for a model spec; (None, ()) for the per-vertex kinds."""
     kind = spec["kind"]
     if kind == "sbm":
-        return ModelInstance(BlockVector.integral(spec["sizes"]),
+        inst = ModelInstance(BlockVector.integral(spec["sizes"]),
                              ProbMatrix(spec["P"]),
                              sigma_hint=spec.get("sigma_hint"))
-    if kind == "gnp":
-        return ModelInstance.gnp(int(spec["n"]), float(spec["p"]))
-    if kind == "blowup-percolate":
+    elif kind == "gnp":
+        inst = ModelInstance.gnp(int(spec["n"]), float(spec["p"]))
+    elif kind == "blowup-percolate":
         bspec = BlowUpSpec.from_edges(int(spec["k"]), spec["h_edges"],
                                       spec["sizes"])
-        return blow_up_as_model(bspec, float(spec["p"]))
-    if kind == "union-sbm":
-        m1 = _instance_for(spec["of"][0])
-        m2 = _instance_for(spec["of"][1])
-        return union_model(m1, m2)
-    return None  # chunglu kinds: blocks are per-vertex
+        inst = blow_up_as_model(bspec, float(spec["p"]))
+    elif kind == "union-sbm":
+        parts = tuple(_block_models(part)[0] for part in spec["of"])
+        return union_model(*parts), parts
+    else:
+        return None, ()  # chunglu kinds: blocks are per-vertex
+    return inst, (inst,)
 
 
 def _vertex_model_for(spec: dict) -> ModelInstance:
@@ -193,23 +195,13 @@ def _vertex_model_for(spec: dict) -> ModelInstance:
                          ProbMatrix(pm))
 
 
-def _instance_or_none(spec: dict) -> Optional[ModelInstance]:
-    inst = _instance_for(spec)
-    if inst is not None:
-        return inst
-    try:
-        return _vertex_model_for(spec)
-    except ModelError:
-        return None
-
-
-def _sample(spec: dict, seed: int):
+def _sample(spec: dict, parts: tuple, seed: int):
     kind = spec["kind"]
     if kind in ("sbm", "gnp", "blowup-percolate"):
-        return sample_sbm(_instance_for(spec), seed)
+        return sample_sbm(parts[0], seed)
     if kind == "union-sbm":
-        g1 = sample_sbm(_instance_for(spec["of"][0]), derive_seed(seed, 1))
-        g2 = sample_sbm(_instance_for(spec["of"][1]), derive_seed(seed, 2))
+        g1 = sample_sbm(parts[0], derive_seed(seed, 1))
+        g2 = sample_sbm(parts[1], derive_seed(seed, 2))
         return union_graphs(g1, g2)
     if kind in ("chunglu-times", "chunglu-plus"):
         return sample_chung_lu(spec["u"], float(spec["p"]),
@@ -223,23 +215,49 @@ def _sample(spec: dict, seed: int):
 _PointSystem = Union[Decomposition, GuardError, None]
 
 
-def _point_predictions(spec: dict, cfg: ExperimentConfig
-                       ) -> tuple[dict, _PointSystem]:
-    """All prediction columns for one grid point, and the integer system
-    that every extraction row of the point shares (both are
-    replicate-independent).
+@dataclass(frozen=True)
+class _GridPoint:
+    """What every row of one grid point shares, built once per point."""
 
-    One w* solve serves the chi prediction and the system.  The system is
-    None when no row extracts, and the solve's GuardError when the model is
-    too large for it; a GuardError of a solve that the prediction needs
-    propagates.
+    params: dict
+    spec: dict
+    parts: tuple                    # the instances graphs are sampled from
+    model: Optional[ModelInstance]  # block or per-vertex model; None if none
+    preds: dict                     # the prediction columns
+    system: _PointSystem            # the extraction rows' integer system
+    status: tuple[str, ...]         # notes in the status of every row
+
+
+def _grid_point(params: dict, spec: dict, cfg: ExperimentConfig) -> _GridPoint:
+    inst, parts = _block_models(spec)
+    model = inst
+    if inst is None:
+        try:
+            model = _vertex_model_for(spec)
+        except ModelError:
+            model = None
+    preds, system, status = _point_predictions(spec, inst, model, cfg)
+    return _GridPoint(params, spec, parts, model, preds, system, status)
+
+
+def _point_predictions(spec: dict, inst: Optional[ModelInstance],
+                       model: Optional[ModelInstance], cfg: ExperimentConfig
+                       ) -> tuple[dict, _PointSystem, tuple[str, ...]]:
+    """All prediction columns for one grid point, the integer system that
+    every extraction row of the point shares (both are
+    replicate-independent), and the point's notes for the rows' status.
+
+    `inst` is the block model (None for the per-vertex kinds) and `model`
+    the model extraction colours with.  One w* solve serves the chi
+    prediction and the system.  The system is None when no row extracts,
+    and the solve's GuardError when the model is too large for it; then the
+    w*-based chi predictions stay empty and, when the point predicts, its
+    rows record `wstar_guard[...]`.
     """
     out = {"chi_pred_qstar": None, "chi_pred_sigma": None,
            "chi_pred_model": None, "alpha_pred_qstar": None,
            "alpha_pred_sigma": None, "edges_pred": None}
     kind = spec["kind"]
-    inst = _instance_for(spec)
-    model = inst if inst is not None else _instance_or_none(spec)
     extracts = ("chi" in cfg.measures and "extraction" in cfg.chi_methods
                 and model is not None)
     predicts = False
@@ -253,22 +271,26 @@ def _point_predictions(spec: dict, cfg: ExperimentConfig
             sigma = None
         predicts = qs > 0.0 and qs * norm > 1.0 and sigma is not None
     system: _PointSystem = None
+    status: tuple[str, ...] = ()
+    if predicts:
+        out["alpha_pred_qstar"] = math.log(qs * norm)
+        out["alpha_pred_sigma"] = (1.0 - sigma) * math.log(norm)
     if predicts or extracts:
         try:
             real = w_star_solve(model.sizes, model.q,
                                 seed=derive_seed(cfg.base_seed, 777))
+        except GuardError as exc:
+            system = exc
+            if predicts:
+                status = (f"wstar_guard[{exc}]",)
+        else:
             if extracts:
                 system = round_integer_system(real, model.q)
-        except GuardError as exc:
             if predicts:
-                raise
-            system = exc
-        if predicts:
-            wstar = real.w_sum
-            out["chi_pred_qstar"] = wstar / (2.0 * math.log(qs * norm))
-            out["chi_pred_sigma"] = wstar / (2.0 * (1.0 - sigma) * math.log(norm))
-            out["alpha_pred_qstar"] = math.log(qs * norm)
-            out["alpha_pred_sigma"] = (1.0 - sigma) * math.log(norm)
+                wstar = real.w_sum
+                out["chi_pred_qstar"] = wstar / (2.0 * math.log(qs * norm))
+                out["chi_pred_sigma"] = (wstar / (2.0 * (1.0 - sigma)
+                                                  * math.log(norm)))
     if kind == "gnp":
         n, p = int(spec["n"]), float(spec["p"])
         if p * n > 1.0:
@@ -299,7 +321,7 @@ def _point_predictions(spec: dict, cfg: ExperimentConfig
             if qs > 0.0 and qs * model.sizes.norm > 1.0:
                 out["alpha_pred_qstar"] = math.log(qs * model.sizes.norm)
             out["edges_pred"] = model.expected_edges()
-    return out, system
+    return out, system, status
 
 
 @dataclass
@@ -341,15 +363,18 @@ _RATIO_SPEC = (
 )
 
 
+# the alpha_h mode each config value runs (see chromatic.alpha_h)
+_ALPHA_H_MODES = {"heuristic": "exact-first", "exact": "exact"}
+
+
 def _measure_row(cfg: ExperimentConfig, point_idx: int, replicate: int,
-                 spec: dict, preds: dict, params: dict,
-                 system: _PointSystem) -> ReportRow:
+                 point: _GridPoint) -> ReportRow:
     seed = mix_seed(cfg.base_seed, point_idx, replicate)
     t0 = time.perf_counter()
-    status: list[str] = []
+    status: list[str] = list(point.status)
     values: dict = {}
-    g = _sample(spec, seed)
-    inst = _instance_or_none(spec)
+    g = _sample(point.spec, point.parts, seed)
+    inst, system = point.model, point.system
     if "edge_count" in cfg.measures:
         values["edge_count"] = float(g.m)
     if "chi" in cfg.measures:
@@ -384,14 +409,15 @@ def _measure_row(cfg: ExperimentConfig, point_idx: int, replicate: int,
         else:
             try:
                 values["alpha_h"] = chrom.alpha_h(
-                    inst, g, mode=cfg.alpha_h_mode,
+                    inst, g, mode=_ALPHA_H_MODES[cfg.alpha_h_mode],
                     seed=derive_seed(seed, 12)).h_value
             except GuardError as exc:
                 status.append(f"alpha_h_guard[{exc}]")
     runtime = (time.perf_counter() - t0) * 1000.0
     return ReportRow(point=point_idx, replicate=replicate, seed=seed,
-                     params=params, status=";".join(status) or "ok",
-                     values=values, predictions=preds, runtime_ms=runtime)
+                     params=point.params, status=";".join(status) or "ok",
+                     values=values, predictions=point.preds,
+                     runtime_ms=runtime)
 
 
 def _run_cell(args):
@@ -428,9 +454,9 @@ def run_experiment(cfg: ExperimentConfig, out_path: str) -> list[ReportRow]:
         if spec["kind"] in ("chunglu-times", "chunglu-plus"):  # fail fast
             check_chung_lu(spec["u"], float(spec["p"]),
                            spec["kind"].removeprefix("chunglu-"))
-        preds, system = _point_predictions(spec, cfg)  # block kinds fail here
+        point = _grid_point(params, spec, cfg)  # block kinds fail here
         for replicate in range(cfg.replicates):
-            cells.append((point_idx, replicate, spec, preds, params, system))
+            cells.append((point_idx, replicate, point))
 
     if cfg.workers > 1:
         cfg_dict = dict(asdict(cfg), workers=1)

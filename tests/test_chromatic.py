@@ -267,6 +267,49 @@ class TestAlphaH:
         with pytest.raises(GuardError):
             alpha_h(m, g, "exact")
 
+    def test_exact_first_is_exact_when_the_search_finishes(self):
+        m = ModelInstance.gnp(40, 0.5)
+        for s in range(3):
+            g = sample_sbm(m, 500 + s)
+            first = alpha_h(m, g, "exact-first", seed=s)
+            exact = alpha_h(m, g, "exact")
+            assert first == exact
+            assert first.exact and 0 < first.nodes < 10 ** 5
+
+    def test_exact_first_falls_back_past_its_budget(self):
+        # the sparse instance of the 1e7-node guard above
+        m = ModelInstance.gnp(62, 0.08)
+        g = sample_sbm(m, 0)
+        for s in range(3):
+            res = alpha_h(m, g, "exact-first", seed=s)
+            local = alpha_h(m, g, "heuristic", seed=s)
+            assert not res.exact
+            assert res.nodes > 10 ** 5
+            assert res.h_value >= local.h_value
+            members = res.best_set
+            assert not any(int(u) in members and int(v) in members
+                           for u, v in g.edges)
+            assert res.h_value == pytest.approx(
+                -independent_set_probability(m, members, block_of=g.block_of)
+                / len(members), abs=1e-12)
+
+    def test_exact_first_past_hard_n_is_the_local_search(self):
+        m = ModelInstance.gnp(513, 0.9)
+        g = sample_sbm(m, 0)
+        assert alpha_h(m, g, "exact-first", seed=4) == alpha_h(
+            m, g, "heuristic", seed=4)
+
+    def test_node_counts(self):
+        m = ModelInstance.gnp(30, 0.5)
+        g = sample_sbm(m, 9)
+        assert alpha_h(m, g, "exact").nodes > 0
+        assert alpha_h(m, g, "heuristic").nodes == 0
+
+    def test_unknown_mode(self):
+        m = ModelInstance.gnp(3, 0.5)
+        with pytest.raises(ValueError):
+            alpha_h(m, SbmGraph(3, [0] * 3, [], k=1), "greedy")
+
 
 class TestFindBalanced:
     def test_singleton_target(self):

@@ -6,12 +6,33 @@ import numpy as np
 import pytest
 
 from sbmchroma import experiment, functionals
+from sbmchroma.chromatic import alpha_h
 from sbmchroma.experiment import (ConfigError, ExperimentConfig, emit_plotdata,
                                   run_experiment)
 from sbmchroma.functionals import w_star_solve
 from sbmchroma.graphs import sample_sbm
-from sbmchroma.model import ModelError
-from sbmchroma.seeds import mix_seed
+from sbmchroma.model import BlockVector, ModelError, ModelInstance, ProbMatrix
+from sbmchroma.seeds import derive_seed, mix_seed
+
+
+# The block models of the two SBM benchmark workloads: five disassortative
+# blocks of ten vertices and seven of six.
+P_MIXED = [
+    [0.20, 0.58, 0.69, 0.76, 0.47],
+    [0.58, 0.17, 0.59, 0.65, 0.67],
+    [0.69, 0.59, 0.24, 0.70, 0.66],
+    [0.76, 0.65, 0.70, 0.06, 0.57],
+    [0.47, 0.67, 0.66, 0.57, 0.23],
+]
+P_WSTAR = [
+    [0.28, 0.64, 0.67, 0.74, 0.60, 0.70, 0.72],
+    [0.64, 0.10, 0.66, 0.67, 0.72, 0.70, 0.68],
+    [0.67, 0.66, 0.26, 0.60, 0.49, 0.78, 0.61],
+    [0.74, 0.67, 0.60, 0.09, 0.58, 0.76, 0.55],
+    [0.60, 0.72, 0.49, 0.58, 0.29, 0.68, 0.73],
+    [0.70, 0.70, 0.78, 0.76, 0.68, 0.21, 0.68],
+    [0.72, 0.68, 0.61, 0.55, 0.73, 0.68, 0.20],
+]
 
 
 def base_config(**over):
@@ -160,6 +181,73 @@ class TestRunExperiment:
             assert "chi_dsatur" in r.values
             assert "chi_extraction" not in r.values
 
+    def test_more_than_30_blocks_records_wstar_guard(self, tmp_path):
+        # 31 blocks: the point's w* solve refuses, the grid goes on
+        P = [[0.1 if i == j else 0.3 + 0.01 * ((7 * (i + j)) % 11)
+              for j in range(31)] for i in range(31)]
+        cfg = ExperimentConfig.from_dict(base_config(
+            model={"kind": "sbm", "sizes": [2] * 31, "P": P},
+            chi_methods=["dsatur", "extraction"],
+            measures=["chi", "alpha_h"]))
+        rows = run_experiment(cfg, str(tmp_path / "r.csv"))
+        assert len(rows) == 2
+        guard = "corner enumeration refuses k=31 > 30"
+        for r in rows:
+            assert r.status == (f"wstar_guard[{guard}];"
+                                f"extraction_guard[{guard}]")
+            assert set(r.values) == {"chi_dsatur", "alpha_h"}
+            assert r.predictions["chi_pred_qstar"] is None
+            assert r.predictions["chi_pred_sigma"] is None
+            assert r.predictions["alpha_pred_qstar"] > 0
+
+    @pytest.mark.parametrize("sizes,P", [([10] * 5, P_MIXED),
+                                         ([6] * 7, P_WSTAR)])
+    def test_default_alpha_h_never_below_the_local_search(self, tmp_path,
+                                                          sizes, P):
+        model = ModelInstance(BlockVector.integral(sizes), ProbMatrix(P))
+        for base_seed in (20260810, 1001, 1002, 4242):
+            cfg = ExperimentConfig.from_dict(base_config(
+                model={"kind": "sbm", "sizes": sizes, "P": P},
+                replicates=6, base_seed=base_seed, measures=["alpha_h"]))
+            for r in run_experiment(cfg, str(tmp_path / "r.csv")):
+                local = alpha_h(model, sample_sbm(model, r.seed), "heuristic",
+                                seed=derive_seed(r.seed, 12))
+                assert r.values["alpha_h"] >= local.h_value
+
+    def test_exact_alpha_h_mode_keeps_its_node_cap(self, tmp_path):
+        # G(62, 0.08) has far more independent sets than 1e7 nodes reach;
+        # the default mode falls back to the local search instead
+        base = base_config(model={"kind": "gnp", "n": 62, "p": 0.08},
+                           replicates=1, measures=["alpha_h"])
+        exact = run_experiment(
+            ExperimentConfig.from_dict(dict(base, alpha_h_mode="exact")),
+            str(tmp_path / "e.csv"))
+        assert exact[0].status == ("alpha_h_guard[independent-set "
+                                   "enumeration exceeded 1e7 nodes]")
+        assert "alpha_h" not in exact[0].values
+        default = run_experiment(ExperimentConfig.from_dict(base),
+                                 str(tmp_path / "d.csv"))
+        assert default[0].status == "ok"
+        assert default[0].values["alpha_h"] > 0
+
+    def test_exact_mode_gnp_report_digest(self, tmp_path):
+        # the shape of the gnp-exact benchmark workload; exact alpha_h did
+        # not change when the default mode became exact-first
+        cfg = ExperimentConfig.from_dict({
+            "model": {"kind": "gnp", "n": 30, "p": 0.5},
+            "sweep": [{"param": "n", "values": [30, 34, 38]}],
+            "replicates": 4, "base_seed": 20260810,
+            "chi_methods": ["exact"],
+            "measures": ["chi", "alpha_h", "edge_count"],
+            "alpha_h_mode": "exact", "exact_budget": 2_000_000_000})
+        out = tmp_path / "r.csv"
+        run_experiment(cfg, str(out))
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (out, tmp_path / "r.csv.summary.json")]
+        assert digests == [
+            "c380d176e4e2eca42a6246b5bd3547afa52c609cfc0fd2d181032cd6d9c74586",
+            "0e7f162e4f23ec8ba5ddd19652846c37373aeaab1befce4ed8016c248d546f76"]
+
     @pytest.mark.parametrize("model", [
         {"kind": "chunglu-times", "u": [0.5, 1.5, 0.2], "p": 0.4},
         {"kind": "chunglu-plus", "u": [0.9, 0.9], "p": 0.6},
@@ -184,6 +272,22 @@ class TestRunExperiment:
             sweep=[{"param": "n", "values": [10, 12]}], replicates=3))
         rows = run_experiment(cfg, str(tmp_path / "r.csv"))
         assert sorted(calls) == sorted(r.seed for r in rows)
+
+    def test_one_model_per_grid_point(self, tmp_path, monkeypatch):
+        calls = []
+        gnp = ModelInstance.gnp
+
+        def counting(n, p):
+            calls.append(n)
+            return gnp(n, p)
+        monkeypatch.setattr(ModelInstance, "gnp", counting)
+        cfg = ExperimentConfig.from_dict(base_config(
+            sweep=[{"param": "n", "values": [10, 12]}], replicates=3,
+            chi_methods=["dsatur", "extraction"],
+            measures=["chi", "alpha_h"]))
+        rows = run_experiment(cfg, str(tmp_path / "r.csv"))
+        assert len(rows) == 6
+        assert calls == [10, 12]
 
     @pytest.mark.parametrize("model, sweep", [
         ({"kind": "sbm", "sizes": [5, 5, 5],
@@ -211,28 +315,35 @@ class TestRunExperiment:
         assert len(calls) == 2
 
     def test_worker_pool_matches_serial(self, tmp_path):
-        # every setting below changes this report on its own, so a setting
-        # lost on the way to the workers shows as a difference
-        changed = {"epsilon": 0.35, "extraction_effort": 1,
-                   "alpha_h_mode": "exact"}
-        base = base_config(
+        # every setting below changes its report on its own, so a setting
+        # lost on the way to the workers shows as a difference.  The default
+        # alpha_h mode tries the exact search first and agrees with "exact"
+        # wherever that search finishes, so alpha_h_mode is checked on a
+        # model past n = 512: there "exact" refuses at once and the default
+        # runs the local search.
+        two_block = base_config(
             model={"kind": "sbm", "sizes": [20, 20],
                    "P": [[0.5, 0.55], [0.55, 0.45]]},
             sweep=[{"param": "p12", "values": [0.55, 0.7]}], replicates=3,
             chi_methods=["dsatur", "extraction"],
-            measures=["chi", "alpha_h", "edge_count"])
+            measures=["chi", "alpha_h", "edge_count"], alpha_h_mode="exact")
+        large = base_config(model={"kind": "gnp", "n": 513, "p": 0.9},
+                            measures=["alpha_h"])
         out = tmp_path / "r.csv"
 
-        def report(**over) -> str:
+        def report(base, **over) -> str:
             run_experiment(ExperimentConfig.from_dict(dict(base, **over)),
                            str(out))
             return out.read_text()
 
-        serial = report(**changed)
-        assert report(**changed, workers=2) == serial
-        for name in changed:
-            assert report(**{k: v for k, v in changed.items()
-                             if k != name}) != serial, name
+        for base, changed in (
+                (two_block, {"epsilon": 0.35, "extraction_effort": 1}),
+                (large, {"alpha_h_mode": "exact"})):
+            serial = report(base, **changed)
+            assert report(base, **changed, workers=2) == serial
+            for name in changed:
+                assert report(base, **{k: v for k, v in changed.items()
+                                       if k != name}) != serial, name
 
     def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig.from_dict(base_config(
