@@ -1,8 +1,12 @@
 """Pure-Python reference implementation of the search kernels.
 
-The compiled extension (_kernels_cy) implements byte-for-byte the same
-algorithms; either backend must produce identical results for identical
-inputs.  Vertex bitsets are plain Python integers here.
+The compiled extension (_kernels_cy) implements the same search, node order
+and results; bitset state in Python, per-vertex words in C.  Either backend
+must produce identical results for identical inputs.  Vertex bitsets are
+plain Python integers here.  DSATUR keeps, per colour, the set of vertices
+with a neighbour of that colour, and every vertex's saturation as
+bit-sliced counters, so a pick or a colouring step costs O(log n)
+big-integer operations and no loop over the vertices.
 
 Kernels:
   exact_coloring                 DSATUR-style branch and bound for chi(G)
@@ -43,100 +47,140 @@ def greedy_clique(n: int, adj: list[int]) -> list[int]:
     return best
 
 
+def _static_planes(adj: list[int],
+                   rank: Sequence[int] | None = None) -> list[int]:
+    """Bit planes, top plane first, of each vertex's static DSATUR priority:
+    higher degree first, then lower rank.  Vertices with equal keys are
+    left to the lowest index."""
+    degs = [a.bit_count() for a in adj]
+    if rank is None:
+        prio = degs
+    else:
+        keys = list(zip(degs, (-r for r in rank)))
+        pos = {k: i for i, k in enumerate(sorted(set(keys)))}
+        prio = [pos[k] for k in keys]
+    planes = []
+    for j in range(max(prio, default=0).bit_length() - 1, -1, -1):
+        m = 0
+        for v, p in enumerate(prio):
+            if p >> j & 1:
+                m |= 1 << v
+        planes.append(m)
+    return planes
+
+
+def _pick(cand: int, sat: list[int], static: list[int]) -> int:
+    """The DSATUR pick among the vertex set `cand`: max saturation (its
+    bit-sliced counters `sat`, lowest plane first), then max static
+    priority, then the lowest index."""
+    for p in reversed(sat):
+        x = cand & p
+        if x:
+            cand = x
+    if cand & (cand - 1):
+        for p in static:
+            x = cand & p
+            if x:
+                cand = x
+    return (cand & -cand).bit_length() - 1
+
+
+def _add(planes: list[int], x: int) -> list[int]:
+    """Bit-sliced counters plus one for every vertex in `x` (ripple carry)."""
+    out = []
+    for p in planes:
+        out.append(p ^ x)
+        x &= p
+    if x:
+        out.append(x)
+    return out
+
+
+def _dsatur(n: int, adj: list[int], static: list[int]):
+    """DSATUR with first-fit colours; `static` from `_static_planes`."""
+    colors = [-1] * n
+    fb: list[int] = []  # fb[c]: vertices with a neighbour of colour c
+    sat: list[int] = []
+    uncoloured = (1 << n) - 1
+    while uncoloured:
+        pick = _pick(uncoloured, sat, static)
+        bit = 1 << pick
+        uncoloured ^= bit
+        c = 0
+        while c < len(fb) and fb[c] & bit:
+            c += 1
+        if c == len(fb):
+            fb.append(0)
+        colors[pick] = c
+        touched = adj[pick] & uncoloured & ~fb[c]
+        fb[c] |= touched
+        sat = _add(sat, touched)
+    return len(fb), colors
+
+
 def dsatur_greedy(n: int, adj: list[int],
                   rank: Sequence[int] | None = None) -> tuple[int, list[int]]:
-    """Plain DSATUR heuristic (ties by degree, then lowest rank; the rank
-    defaults to the index); returns an upper bound and a proper colouring
-    using colours 0..ub-1."""
-    if n == 0:
-        return 0, []
-    if rank is None:
-        rank = range(n)
-    degs = [a.bit_count() for a in adj]
-    colors = [-1] * n
-    forbid = [0] * n
-    used = 0
-    for _ in range(n):
-        pick, key = -1, (-1, -1, 1)
-        for v in range(n):
-            if colors[v] >= 0:
-                continue
-            cand = (forbid[v].bit_count(), degs[v], -rank[v])
-            if cand > key:
-                pick, key = v, cand
-        c = 0
-        fb = forbid[pick]
-        while (fb >> c) & 1:
-            c += 1
-        colors[pick] = c
-        used = max(used, c + 1)
-        bit = 1 << c
-        m = adj[pick]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if colors[u] < 0:
-                forbid[u] |= bit
-    return used, colors
+    """Plain DSATUR heuristic (ties by degree, then lowest rank, then lowest
+    index; the rank defaults to the index); returns an upper bound and a
+    proper colouring using colours 0..ub-1."""
+    return _dsatur(n, adj, _static_planes(adj, rank))
 
 
 class _Budget(Exception):
     pass
 
 
-def _decide(n: int, adj: list[int], neigh: list[list[int]], degs: list[int],
-            t: int, clique: list[int], counter: list[int]):
+def _decide(n: int, adj: list[int], static: list[int], t: int,
+            clique: list[int], counter: list[int]):
     """Find a proper colouring with at most t colours, or None.
 
     Vertices of the seed clique are pre-assigned distinct colours; branching
     follows max saturation / max degree / min index; a vertex may only open
     one colour index beyond the highest used so far (symmetry breaking).
     """
+    if len(clique) > t:
+        return None
     colors = [-1] * n
-    forbid = [0] * n
+    fb = [0] * t
+    sat: list[int] = []
+    uncoloured = (1 << n) - 1
+    for v in clique:
+        uncoloured ^= 1 << v
     for i, v in enumerate(clique):
         colors[v] = i
-        bit = 1 << i
-        for u in neigh[v]:
-            forbid[u] |= bit
-    uncoloured = n - len(clique)
-    max_used = len(clique) - 1
+        fb[i] = adj[v] & uncoloured
+        sat = _add(sat, fb[i])
 
-    def rec(uncoloured: int, max_used: int) -> bool:
-        if uncoloured == 0:
+    def rec(uncoloured: int, sat: list[int], max_used: int) -> bool:
+        if not uncoloured:
             return True
         counter[0] -= 1
         if counter[0] <= 0:
             raise _Budget
-        pick, key = -1, (-1, -1, 1)
-        for v in range(n):
-            if colors[v] >= 0:
+        pick = _pick(uncoloured, sat, static)
+        bit = 1 << pick
+        uncoloured ^= bit
+        nbrs = adj[pick] & uncoloured
+        # colours 0..max_used + 1, at most t of them (no min/max calls:
+        # this loop runs at every node)
+        for c in range(max_used + 2 if max_used + 2 < t else t):
+            old = fb[c]
+            if old & bit:
                 continue
-            cand = (forbid[v].bit_count(), degs[v], -v)
-            if cand > key:
-                pick, key = v, cand
-        top = min(max_used + 1, t - 1)
-        avail = ~forbid[pick] & ((1 << (top + 1)) - 1)
-        while avail:
-            c = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
             colors[pick] = c
-            bit = 1 << c
-            touched = []
-            for u in neigh[pick]:
-                if colors[u] < 0 and not (forbid[u] >> c) & 1:
-                    forbid[u] |= bit
-                    touched.append(u)
-            if rec(uncoloured - 1, max(max_used, c)):
+            touched = nbrs & ~old
+            fb[c] = old | touched
+            if rec(uncoloured, _add(sat, touched),
+                   c if c > max_used else max_used):
                 return True
-            for u in touched:
-                forbid[u] &= ~bit
-            colors[pick] = -1
+            fb[c] = old
+        colors[pick] = -1
         return False
 
-    if len(clique) > t:
-        return None
-    return list(colors) if rec(uncoloured, max_used) else None
+    try:
+        return list(colors) if rec(uncoloured, sat, len(clique) - 1) else None
+    finally:
+        del rec  # see best_weighted_independent_set
 
 
 def exact_coloring(n: int, adj: list[int], budget: int):
@@ -152,22 +196,15 @@ def exact_coloring(n: int, adj: list[int], budget: int):
         return (OK, 1, 1, [0] * n)
     clique = greedy_clique(n, adj)
     lb = len(clique)
-    ub, best = dsatur_greedy(n, adj)
+    static = _static_planes(adj)
+    ub, best = _dsatur(n, adj, static)
     if ub <= lb:
         return (OK, ub, ub, best)
-    neigh = [[] for _ in range(n)]
-    for v in range(n):
-        m = adj[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            neigh[v].append(u)
-    degs = [a.bit_count() for a in adj]
     counter = [budget]
     while ub > lb:
         t = ub - 1
         try:
-            res = _decide(n, adj, neigh, degs, t, clique, counter)
+            res = _decide(n, adj, static, t, clique, counter)
         except _Budget:
             return (BUDGET_EXCEEDED, ub, lb, best)
         if res is None:
@@ -223,6 +260,10 @@ def best_weighted_independent_set(n: int, adj: list[int], weights,
         return True
 
     finished = rec(0.0, 0, (1 << n) - 1)
+    # rec refers to itself through its closure cell; breaking that cycle
+    # frees the search state now instead of at the next cyclic collection
+    # (an experiment's peak memory otherwise follows the collector's cadence)
+    del rec
     return (OK if finished else BUDGET_EXCEEDED, best[0], best[1], state[0])
 
 

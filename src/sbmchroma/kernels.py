@@ -54,8 +54,11 @@ def exact_coloring(n: int, adj: list[int], budget: int):
 
 def best_weighted_independent_set(n: int, adj: list[int], weights,
                                   node_limit: int):
-    if _compiled is not None and n <= _CY_MAX_IS_VERTICES:
-        return _compiled.best_weighted_independent_set(n, adj, weights,
-                                                       node_limit)
-    return _kernels_py.best_weighted_independent_set(n, adj, weights,
-                                                     node_limit)
+    """The kernels' (status, value, mask, nodes), with `nodes` clamped to
+    `node_limit`: both kernels also count the node whose visit fails the
+    limit check, which they never explore."""
+    kernel = (_compiled if _compiled is not None and n <= _CY_MAX_IS_VERTICES
+              else _kernels_py)
+    status, value, mask, nodes = kernel.best_weighted_independent_set(
+        n, adj, weights, node_limit)
+    return status, value, mask, min(nodes, node_limit)

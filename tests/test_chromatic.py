@@ -284,7 +284,7 @@ class TestAlphaH:
             res = alpha_h(m, g, "exact-first", seed=s)
             local = alpha_h(m, g, "heuristic", seed=s)
             assert not res.exact
-            assert res.nodes > 10 ** 5
+            assert res.nodes == 10 ** 5
             assert res.h_value >= local.h_value
             members = res.best_set
             assert not any(int(u) in members and int(v) in members

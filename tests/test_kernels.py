@@ -4,6 +4,7 @@ import os
 import re
 import shutil
 import sysconfig
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -169,6 +170,24 @@ class TestDispatcher:
     def test_backend_reported(self):
         assert kernels.BACKEND in ("cython", "python")
 
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_independent_set_nodes_clamped_to_the_limit(
+            self, request, monkeypatch, backend):
+        compiled = request.getfixturevalue("kcy") if backend == "compiled" else None
+        monkeypatch.setattr(kernels, "_compiled", compiled)
+        kernel = compiled or kpy
+        rng = np.random.default_rng(11)
+        adj, flat = random_adj(rng, 40, 0.1), random_weights(rng, 40)
+        raw = kernel.best_weighted_independent_set(40, adj, flat, 1000)
+        assert raw[0] == kernels.BUDGET_EXCEEDED and raw[3] == 1001
+        assert (kernels.best_weighted_independent_set(40, adj, flat, 1000)
+                == (*raw[:3], 1000))
+        # a search that finishes keeps its count
+        adj, flat = random_adj(rng, 20, 0.5), random_weights(rng, 20)
+        done = kernel.best_weighted_independent_set(20, adj, flat, 10 ** 6)
+        assert done[0] == kernels.OK
+        assert kernels.best_weighted_independent_set(20, adj, flat, 10 ** 6) == done
+
     def test_no_dsatur_pre_check_below_degree_64(self, monkeypatch):
         def no_dsatur(*args):
             raise AssertionError("pure-Python DSATUR ran before the kernel")
@@ -220,6 +239,155 @@ class TestPurePythonKernels:
         status, h, mask, _ = kpy.best_weighted_independent_set(
             3, [0, 0, 0], [0.0] * 9, 100)
         assert status == kernels.OK and h == 0.0 and mask == 1
+
+
+# Loop-based references for the bitset DSATUR in _kernels_py: the pick
+# rule builds a (saturation, degree, -rank) key for every uncoloured vertex.
+
+def ref_dsatur_greedy(n, adj, rank=None):
+    if n == 0:
+        return 0, []
+    if rank is None:
+        rank = range(n)
+    degs = [a.bit_count() for a in adj]
+    colors = [-1] * n
+    forbid = [0] * n
+    used = 0
+    for _ in range(n):
+        pick, key = -1, (-1, -1, 1)
+        for v in range(n):
+            if colors[v] >= 0:
+                continue
+            cand = (forbid[v].bit_count(), degs[v], -rank[v])
+            if cand > key:
+                pick, key = v, cand
+        c = 0
+        while (forbid[pick] >> c) & 1:
+            c += 1
+        colors[pick] = c
+        used = max(used, c + 1)
+        for u in range(n):
+            if (adj[pick] >> u) & 1 and colors[u] < 0:
+                forbid[u] |= 1 << c
+    return used, colors
+
+
+class _RefBudget(Exception):
+    pass
+
+
+def _ref_decide(n, adj, degs, t, clique, counter):
+    neigh = [[u for u in range(n) if (adj[v] >> u) & 1] for v in range(n)]
+    colors = [-1] * n
+    forbid = [0] * n
+    for i, v in enumerate(clique):
+        colors[v] = i
+        for u in neigh[v]:
+            forbid[u] |= 1 << i
+
+    def rec(uncoloured, max_used):
+        if uncoloured == 0:
+            return True
+        counter[0] -= 1
+        if counter[0] <= 0:
+            raise _RefBudget
+        pick, key = -1, (-1, -1, 1)
+        for v in range(n):
+            if colors[v] >= 0:
+                continue
+            cand = (forbid[v].bit_count(), degs[v], -v)
+            if cand > key:
+                pick, key = v, cand
+        top = min(max_used + 1, t - 1)
+        for c in range(top + 1):
+            if (forbid[pick] >> c) & 1:
+                continue
+            colors[pick] = c
+            touched = [u for u in neigh[pick]
+                       if colors[u] < 0 and not (forbid[u] >> c) & 1]
+            for u in touched:
+                forbid[u] |= 1 << c
+            if rec(uncoloured - 1, max(max_used, c)):
+                return True
+            for u in touched:
+                forbid[u] &= ~(1 << c)
+            colors[pick] = -1
+        return False
+
+    if len(clique) > t:
+        return None
+    return list(colors) if rec(n - len(clique), len(clique) - 1) else None
+
+
+def ref_exact_coloring(n, adj, budget):
+    if n == 0:
+        return (kernels.OK, 0, 0, [])
+    if all(a == 0 for a in adj):
+        return (kernels.OK, 1, 1, [0] * n)
+    clique = kpy.greedy_clique(n, adj)
+    lb = len(clique)
+    ub, best = ref_dsatur_greedy(n, adj)
+    if ub <= lb:
+        return (kernels.OK, ub, ub, best)
+    degs = [a.bit_count() for a in adj]
+    counter = [budget]
+    while ub > lb:
+        try:
+            res = _ref_decide(n, adj, degs, ub - 1, clique, counter)
+        except _RefBudget:
+            return (kernels.BUDGET_EXCEEDED, ub, lb, best)
+        if res is None:
+            lb = ub
+            break
+        best = res
+        ub = max(res) + 1
+    return (kernels.OK, ub, ub, best)
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    """300 seeded graphs, n = 1-130, with the multi-word sizes that only the
+    pure-Python kernel runs."""
+    rng = np.random.default_rng(8)
+    sizes = [65, 127, 128, 129, *rng.integers(1, 131, size=296)]
+    return [(int(n), random_adj(rng, int(n), float(rng.uniform(0.05, 0.95))))
+            for n in sizes]
+
+
+class TestBitsetDsaturMatchesLoopReference:
+    def test_exact_coloring(self, graphs):
+        searched = Counter()
+        for n, adj in graphs:
+            search = ref_dsatur_greedy(n, adj)[0] > len(kpy.greedy_clique(n, adj))
+            # the small budgets run out mid-search, so brackets are compared
+            for budget in (5, 50, 10 ** 5 if n <= 40 else 300):
+                got = kpy.exact_coloring(n, adj, budget)
+                assert got == ref_exact_coloring(n, adj, budget), (n, budget)
+                searched[got[0]] += search
+        assert searched[kernels.OK] >= 50
+        assert searched[kernels.BUDGET_EXCEEDED] >= 100
+
+    def test_dsatur_greedy(self, graphs):
+        rng = np.random.default_rng(9)
+        for n, adj in graphs:
+            assert kpy.dsatur_greedy(n, adj) == ref_dsatur_greedy(n, adj), n
+            rank = rng.permutation(n).tolist()
+            assert (kpy.dsatur_greedy(n, adj, rank)
+                    == ref_dsatur_greedy(n, adj, rank)), n
+
+    def test_dsatur_repeated_ranks_tie_to_lowest_index(self, graphs):
+        rng = np.random.default_rng(10)
+        for n, adj in graphs:
+            rank = rng.integers(0, 3, size=n).tolist()
+            assert (kpy.dsatur_greedy(n, adj, rank)
+                    == ref_dsatur_greedy(n, adj, rank)), n
+
+    def test_dsatur_ties_on_a_path(self):
+        # path 0-1-2-3-4: vertices 1, 2 and 3 tie on degree, so the lowest
+        # index or the lowest rank among them takes colour 0
+        adj = [0b00010, 0b00101, 0b01010, 0b10100, 0b01000]
+        assert kpy.dsatur_greedy(5, adj, [0] * 5) == (2, [1, 0, 1, 0, 1])
+        assert kpy.dsatur_greedy(5, adj, [1, 1, 0, 1, 1]) == (2, [0, 1, 0, 1, 0])
 
 
 _ORIGIN = re.compile(r'^\s*/\* "sbmchroma/_kernels_cy\.pyx":(\d+)$')
