@@ -47,6 +47,9 @@ _ALPHA_ENUM_GUARD = 10 ** 7
 # node budget of the exact first try in alpha_h's "exact-first" mode: about
 # 0.1 s of pure Python, one or two local searches' worth at n <= 100
 _ALPHA_FIRST_TRY_NODES = 10 ** 5
+# node budget of the exact profile check before the balanced extraction's
+# ruin-and-recreate search; past it the search decides alone
+_PROFILE_CHECK_NODES = 2 * 10 ** 4
 _MAD_BRUTE_MAX_N = 20
 
 
@@ -474,12 +477,66 @@ def _alpha_h_local_search(m: ModelInstance, g: SbmGraph, seed: int,
 # Balanced extraction
 # ---------------------------------------------------------------------------
 
+def _profile_feasible(adj: list[int], block_of: list[int], need: list[int],
+                      limit: int) -> Optional[bool]:
+    """Whether some independent set has exactly `need[b]` vertices in each
+    block b: True or False once a branch and bound settles it, None when it
+    runs past `limit` nodes.
+
+    The candidates are the vertices of blocks still below target that no
+    chosen vertex sees.  A branch dies when a block has fewer candidates
+    than it still needs; otherwise it branches on the block with the least
+    slack, taking that block's candidates lowest index first.  `need` is
+    restored before returning.
+    """
+    bmask = [0] * len(need)
+    for v, b in enumerate(block_of):
+        bmask[b] |= 1 << v
+    nodes = 0
+
+    def rec(cand: int) -> Optional[bool]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
+            return None
+        b, slack = -1, 0
+        for c, k in enumerate(need):
+            if k:
+                s = (cand & bmask[c]).bit_count() - k
+                if s < 0:
+                    return False
+                if b < 0 or s < slack:
+                    b, slack = c, s
+        if b < 0:
+            return True
+        pool = cand & bmask[b]
+        while pool.bit_count() >= need[b]:
+            low = pool & -pool
+            pool ^= low
+            cand ^= low
+            need[b] -= 1
+            nxt = cand & ~adj[low.bit_length() - 1]
+            if not need[b]:
+                nxt &= ~bmask[b]
+            found = rec(nxt)
+            need[b] += 1
+            if found is not False:
+                return found
+        return False
+
+    found = rec(sum(mask for mask, k in zip(bmask, need) if k))
+    del rec  # rec refers to itself through its closure cell
+    return found
+
+
 def find_balanced_independent_set(m: ModelInstance, g_remaining: SbmGraph,
                                   target: BlockVector, seed: int = 0,
                                   effort: int = 8) -> Optional[frozenset[int]]:
     """Independent set whose per-block counts equal `target` exactly, or None.
 
-    Seeded ruin-and-recreate: adaptive randomized greedy fills restricted
+    Returns None at once when an exact check (`_profile_feasible`, at most
+    `_PROFILE_CHECK_NODES` nodes) proves the profile impossible.  Otherwise
+    seeded ruin-and-recreate: adaptive randomized greedy fills restricted
     to blocks still below target, partial teardown and refill while the
     unmet demand does not grow.  Up to `effort` restarts; the model
     argument is part of the call contract, feasibility only depends on the
@@ -496,6 +553,9 @@ def find_balanced_independent_set(m: ModelInstance, g_remaining: SbmGraph,
         raise ModelError("target exceeds remaining block counts")
     if tgt.sum() == 0:
         return frozenset()
+    if _profile_feasible(g.adjacency_bits(), g.block_of.tolist(),
+                         tgt.tolist(), _PROFILE_CHECK_NODES) is False:
+        return None
     n = g.n
     amat = g.adjacency_matrix()
     blocks = g.block_of

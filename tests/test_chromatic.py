@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sbmchroma import chromatic
 from sbmchroma.chromatic import (BudgetExceededError, Colouring, alpha_h,
                                  balanced_extraction_colouring,
                                  dsatur_colouring, exact_chromatic,
@@ -254,8 +255,11 @@ class TestAlphaH:
         res = alpha_h(m, g, "exact")
         assert res.exact and res.h_value > 0
 
-    def test_exact_node_cap_guard(self):
-        # sparse mid-size instance: far too many independent sets
+    def test_exact_node_cap_guard(self, monkeypatch):
+        # sparse mid-size instance: far too many independent sets.  A lower
+        # cap reaches the same guard in a fraction of the shipped one's time
+        assert chromatic._ALPHA_ENUM_GUARD == 10 ** 7
+        monkeypatch.setattr(chromatic, "_ALPHA_ENUM_GUARD", 10 ** 5)
         m = ModelInstance.gnp(62, 0.08)
         g = sample_sbm(m, 0)
         with pytest.raises(GuardError):
@@ -516,6 +520,78 @@ class TestPinnedSearchOutputs:
         target = BlockVector(np.full(5, 2, dtype=np.int64), integer=True)
         assert find_balanced_independent_set(self.MODEL, g, target,
                                              seed=gs + 300) is None
+
+
+def independent_profiles(g: SbmGraph) -> set[tuple[int, ...]]:
+    """Per-block counts of every independent set of g, by enumeration."""
+    adj = g.adjacency_bits()
+    found = set()
+
+    def grow(v: int, cand: int, counts: list[int]) -> None:
+        if v == g.n:
+            found.add(tuple(counts))
+            return
+        grow(v + 1, cand, counts)
+        if (cand >> v) & 1:
+            b = g.block_of[v]
+            counts[b] += 1
+            grow(v + 1, cand & ~adj[v], counts)
+            counts[b] -= 1
+
+    grow(0, (1 << g.n) - 1, [0] * g.k)
+    return found
+
+
+class TestProfileCheck:
+    def test_matches_enumeration(self):
+        rng = np.random.default_rng(90)
+        for i in range(200):
+            k = int(rng.integers(1, 5))
+            sizes = rng.integers(1, 14 // k + 1, k)
+            a = rng.uniform(0.0, 1.0, (k, k))
+            m = ModelInstance(BlockVector(sizes, integer=True),
+                              ProbMatrix((a + a.T) / 2))
+            g = sample_sbm(m, 700 + i)
+            assert g.n <= 14
+            exists = independent_profiles(g)
+            adj, blocks = g.adjacency_bits(), g.block_of.tolist()
+            for tgt in itertools.product(*(range(s + 1) for s in sizes)):
+                need = list(tgt)
+                got = chromatic._profile_feasible(adj, blocks, need, 10 ** 6)
+                assert need == list(tgt)  # restored
+                assert got is (tgt in exists), (i, tgt)
+
+    def test_impossible_target_never_refills(self, monkeypatch):
+        def no_refill(*args):
+            raise AssertionError("ruin-and-recreate ran on an impossible "
+                                 "target")
+        monkeypatch.setattr(chromatic, "_refill", no_refill)
+        cases = [(TestPinnedSearchOutputs.MODEL, gs, [2] * 5)
+                 for gs in sorted(PINNED_ONE_PER_BLOCK)]
+        cases += [(ModelInstance.gnp(30, 0.9), 500 + s, [10])
+                  for s in range(5)]
+        for m, gs, tgt in cases:
+            g = sample_sbm(m, gs)
+            assert find_balanced_independent_set(
+                m, g, BlockVector.integral(tgt), seed=gs) is None
+
+    @pytest.mark.parametrize("gs", sorted(PINNED_ONE_PER_BLOCK))
+    def test_undecided_check_runs_the_unchanged_search(self, monkeypatch, gs):
+        # a check cut off after one node must leave the pinned outputs of
+        # the ruin-and-recreate search as they are
+        outcomes = []
+        check = chromatic._profile_feasible
+
+        def recorded(*args):
+            outcomes.append(check(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(chromatic, "_PROFILE_CHECK_NODES", 1)
+        monkeypatch.setattr(chromatic, "_profile_feasible", recorded)
+        pinned = TestPinnedSearchOutputs()
+        pinned.test_balanced_feasible(gs)
+        pinned.test_balanced_infeasible(gs)
+        assert outcomes == [None, None]
 
 
 class TestAdjacencyMatrix:

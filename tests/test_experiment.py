@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sbmchroma import experiment, functionals
+from sbmchroma import chromatic, experiment, functionals
 from sbmchroma.chromatic import alpha_h
 from sbmchroma.experiment import (ConfigError, ExperimentConfig, emit_plotdata,
                                   run_experiment)
@@ -214,9 +214,13 @@ class TestRunExperiment:
                                 seed=derive_seed(r.seed, 12))
                 assert r.values["alpha_h"] >= local.h_value
 
-    def test_exact_alpha_h_mode_keeps_its_node_cap(self, tmp_path):
+    def test_exact_alpha_h_mode_keeps_its_node_cap(self, tmp_path,
+                                                   monkeypatch):
         # G(62, 0.08) has far more independent sets than 1e7 nodes reach;
-        # the default mode falls back to the local search instead
+        # the default mode falls back to the local search instead.  A lower
+        # cap reaches the same guard in a fraction of the shipped one's time
+        assert chromatic._ALPHA_ENUM_GUARD == 10 ** 7
+        monkeypatch.setattr(chromatic, "_ALPHA_ENUM_GUARD", 10 ** 5)
         base = base_config(model={"kind": "gnp", "n": 62, "p": 0.08},
                            replicates=1, measures=["alpha_h"])
         exact = run_experiment(
@@ -247,6 +251,22 @@ class TestRunExperiment:
         assert digests == [
             "c380d176e4e2eca42a6246b5bd3547afa52c609cfc0fd2d181032cd6d9c74586",
             "0e7f162e4f23ec8ba5ddd19652846c37373aeaab1befce4ed8016c248d546f76"]
+
+    def test_mixed_sbm_extraction_report_digest(self, tmp_path):
+        # the shape of the sbm-mixed benchmark workload: all three chi
+        # methods, balanced extraction and exact-first alpha_h
+        cfg = ExperimentConfig.from_dict({
+            "model": {"kind": "sbm", "sizes": [10] * 5, "P": P_MIXED},
+            "replicates": 6, "base_seed": 20260810,
+            "chi_methods": ["exact", "dsatur", "extraction"],
+            "measures": ["chi", "alpha_h", "edge_count"]})
+        out = tmp_path / "r.csv"
+        run_experiment(cfg, str(out))
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (out, tmp_path / "r.csv.summary.json")]
+        assert digests == [
+            "f85281ed000ad8cb334e1b43eb33cb73aab89f172a5e81ffad47fd677b9de73e",
+            "9f993919b1678a08c20b81a688b5348ca58a9b3138f7db4a1b1f8c65339b0bc5"]
 
     @pytest.mark.parametrize("model", [
         {"kind": "chunglu-times", "u": [0.5, 1.5, 0.2], "p": 0.4},
