@@ -400,7 +400,7 @@ def _measure_row(cfg: ExperimentConfig, point_idx: int, replicate: int,
                         effort=cfg.extraction_effort,
                         system=system).num_colours)
             except chrom.BudgetExceededError as exc:
-                status.append(f"{method}_budget[{exc.lower},{exc.upper}]")
+                status.append(f"{method}_budget[{exc.lower}..{exc.upper}]")
             except GuardError as exc:
                 status.append(f"{method}_guard[{exc}]")
     if "alpha_h" in cfg.measures:

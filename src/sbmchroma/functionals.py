@@ -68,6 +68,8 @@ class Decomposition:
     w_sum: float
     method: str = "unspecified"
     w_sum_exact: Optional[Fraction] = field(default=None, repr=False)
+    moves: int = 0          # local-search moves accepted, all starts
+    evaluations: int = 0    # rows the local search passed to _w_batch
 
     def validate(self, tol: float = 1e-9) -> None:
         total = np.zeros(self.target.k)
@@ -275,39 +277,83 @@ def w_star_bounds(x: BlockVector, q: QMatrix) -> tuple[float, float]:
 _MOVE_FRACS = (1.0, 0.5, 0.25, 0.1, 0.04, 0.015, 0.005, 1.0)
 
 
-def _local_search(rows: np.ndarray, qm: np.ndarray) -> tuple[float, np.ndarray]:
+def _local_search(rows: np.ndarray, qm: np.ndarray
+                  ) -> tuple[float, np.ndarray, int, int]:
+    """Steepest descent on the allocation matrix `rows` (changed in place):
+    (w-sum, rows, accepted moves, rows passed to _w_batch).
+
+    Candidate c = (t1, t2, j), pairs in lexicographic order and then j,
+    moves frac * rows[t1, j] from row t1 to row t2.  Its gain needs w of
+    the giver row (rows[t1] less that amount at j, the same for every t2)
+    and of the receiver row (rows[t2] plus it).  Both are cached for the
+    current frac: `give[t1 * k + j]` and `take[c]`.
+
+    Cache invariant: an entry not marked stale holds w of its row as the
+    matrix stands.  A move on rows a and b stales the givers of a and b
+    and the receivers of every candidate with t1 or t2 in {a, b}; no other
+    row changes, and the accepted candidate's giver and receiver values are
+    w of rows a and b as they now stand.  Each iteration evaluates the
+    stale live rows in one _w_batch call and forms the gains in candidate
+    order, so argmin and the acceptance test see the numbers a full
+    re-evaluation would.  That holds because _w_batch gives a row the same
+    bits in any batch of two or more rows (a one-row batch takes numpy's
+    matrix-vector path), and a batch here is never one row: a stale live
+    giver brings its n_parts - 1 receivers, and a stale receiver of a or b
+    comes with its twin for the other row.
+    """
     n_parts, k = rows.shape
     tol = 1e-12 * max(1.0, float(rows.sum()))
     roww = _w_batch(rows, qm)
     total = float(roww.sum())
+    moves, evaluations = 0, n_parts
     pairs = [(t1, t2) for t1 in range(n_parts) for t2 in range(n_parts) if t1 != t2]
     t1s_all = np.array([p[0] for p in pairs for _ in range(k)])
     t2s_all = np.array([p[1] for p in pairs for _ in range(k)])
     js_all = np.array([j for _ in pairs for j in range(k)])
+    src_all = t1s_all * k + js_all  # flat index of the entry a candidate moves
+    touches = [(t1s_all == t) | (t2s_all == t) for t in range(n_parts)]
+    give, take = np.zeros(n_parts * k), np.zeros(src_all.size)
+    give_stale = np.empty(n_parts * k, dtype=bool)
+    take_stale = np.empty(src_all.size, dtype=bool)
     while_guard = 64 * n_parts * k  # accepted-move cap, never hit in practice
     for frac in _MOVE_FRACS:
+        give_stale.fill(True)
+        take_stale.fill(True)
         for _ in range(while_guard):
-            amounts = rows[t1s_all, js_all] * frac
-            live = amounts > tol
-            if not np.any(live):
+            amounts = rows.ravel() * frac
+            giving = amounts > tol
+            live = giving[src_all]
+            if not live.any():
                 break
-            t1s, t2s, js, amt = (t1s_all[live], t2s_all[live],
-                                 js_all[live], amounts[live])
-            m = t1s.size
-            r1 = rows[t1s].copy()
-            r1[np.arange(m), js] -= amt
-            r2 = rows[t2s].copy()
-            r2[np.arange(m), js] += amt
-            gains = (_w_batch(r1, qm) + _w_batch(r2, qm)) - (roww[t1s] + roww[t2s])
-            pick = int(np.argmin(gains))
+            gs = (give_stale & giving).nonzero()[0]
+            tc = (take_stale & live).nonzero()[0]
+            if gs.size + tc.size:
+                gt, gj = np.divmod(gs, k)
+                batch = rows[np.concatenate((gt, t2s_all[tc]))]
+                # givers add -amount: x + (-a) rounds exactly as x - a
+                batch[np.arange(batch.shape[0]),
+                      np.concatenate((gj, js_all[tc]))] += np.concatenate(
+                          (-amounts[gs], amounts[src_all[tc]]))
+                vals = _w_batch(batch, qm)
+                give[gs], take[tc] = vals[:gs.size], vals[gs.size:]
+                give_stale[gs] = take_stale[tc] = False
+                evaluations += vals.size
+            cand = live.nonzero()[0]
+            t1s, t2s = t1s_all[cand], t2s_all[cand]
+            gains = (give[src_all[cand]] + take[cand]) - (roww[t1s] + roww[t2s])
+            pick = gains.argmin()
             if gains[pick] >= -1e-12 * max(1.0, abs(total)):
                 break
-            rows[t1s[pick]] = r1[pick]
-            rows[t2s[pick]] = r2[pick]
-            roww[[t1s[pick], t2s[pick]]] = _w_batch(
-                rows[[t1s[pick], t2s[pick]]], qm)
+            c = cand[pick]
+            a, b, j = t1s_all[c], t2s_all[c], js_all[c]
+            rows[a, j] -= amounts[src_all[c]]
+            rows[b, j] += amounts[src_all[c]]
+            roww[a], roww[b] = give[src_all[c]], take[c]
             total = float(roww.sum())
-    return total, rows
+            moves += 1
+            give_stale[a * k:(a + 1) * k] = give_stale[b * k:(b + 1) * k] = True
+            take_stale |= touches[a] | touches[b]
+    return total, rows, moves, evaluations
 
 
 def _snap_and_repair(rows: np.ndarray, xv: np.ndarray) -> np.ndarray:
@@ -368,8 +414,9 @@ def _light_candidates(xv: np.ndarray, qm: np.ndarray,
 
 
 def _solve_system(xv: np.ndarray, qm: np.ndarray, n_parts: int, restarts: int,
-                  seed: int) -> tuple[float, list[np.ndarray]]:
-    """Best system of at most n_parts vectors found by one search run."""
+                  seed: int) -> tuple[float, list[np.ndarray], int, int]:
+    """Best system of at most n_parts vectors found by one search run,
+    with the moves and evaluations of all its starts."""
     k = xv.size
     starts: list[np.ndarray] = []
     a = np.zeros((n_parts, k))
@@ -391,36 +438,45 @@ def _solve_system(xv: np.ndarray, qm: np.ndarray, n_parts: int, restarts: int,
         starts.append(a)
 
     best_total, best_rows = math.inf, starts[0]
+    moves = evaluations = 0
     for a in starts:
-        total, rows = _local_search(a.copy(), qm)
+        total, rows, n_moves, n_evals = _local_search(a.copy(), qm)
+        moves += n_moves
+        evaluations += n_evals
         if total < best_total - 1e-12:
             best_total, best_rows = total, rows
     rows = _snap_and_repair(best_rows, xv)
     parts = [rows[t].copy() for t in range(rows.shape[0]) if rows[t].sum() > 0.0]
-    return _w_sum(parts, qm), parts
+    return _w_sum(parts, qm), parts, moves, evaluations
 
 
 def _search_parts(x: BlockVector, q: QMatrix, max_parts: int, restarts: int,
-                  seed: int) -> tuple[float, list[np.ndarray], str]:
-    """(w-sum, parts, method) of the best system of at most max_parts
-    vectors found for a nonzero x: the one-part system, then the best over
-    part counts 2..max_parts (each count a feasible set containing the
-    previous ones), or the light search above _FULL_SEARCH_MAX_K blocks."""
+                  seed: int) -> tuple[float, list[np.ndarray], str, int, int]:
+    """(w-sum, parts, method, moves, evaluations) of the best system of at
+    most max_parts vectors found for a nonzero x: the one-part system, then
+    the best over part counts 2..max_parts (each count a feasible set
+    containing the previous ones), or the light search above
+    _FULL_SEARCH_MAX_K blocks.  Moves and evaluations count the local
+    search over all part counts, and are 0 on the other paths."""
     xv = x.values
     qm = q.entries
     best, parts = _w_sum([xv], qm), [xv.copy()]
     if is_pseudodefinite(q):
-        return best, parts, "pseudodefinite-shortcut"
+        return best, parts, "pseudodefinite-shortcut", 0, 0
     if x.k > _FULL_SEARCH_MAX_K:
         val, cand = _light_candidates(xv, qm, rng_from_seed(derive_seed(seed, 0)))
         if len(cand) <= max_parts:  # only systems within the part budget count
             best, parts = val, cand
-        return best, parts, "light-search"
+        return best, parts, "light-search", 0, 0
+    moves = evaluations = 0
     for m in range(2, max_parts + 1):
-        total, cand = _solve_system(xv, qm, m, restarts, derive_seed(seed, m))
+        total, cand, n_moves, n_evals = _solve_system(xv, qm, m, restarts,
+                                                      derive_seed(seed, m))
+        moves += n_moves
+        evaluations += n_evals
         if total < best - 1e-12:
             best, parts = total, cand
-    return best, parts, "local-search"
+    return best, parts, "local-search", moves, evaluations
 
 
 def w_star_solve(x: BlockVector, q: QMatrix, restarts: int = 4,
@@ -429,17 +485,21 @@ def w_star_solve(x: BlockVector, q: QMatrix, restarts: int = 4,
 
     Restarts use derived sub-seeds; the result is the deterministic minimum
     over all starts.  When Q is pseudodefinite the single-part system is
-    returned directly (it is provably optimal).
+    returned directly (it is provably optimal).  `moves` and `evaluations`
+    give the local search's effort over all starts and part counts; both
+    are 0 when no local search ran.
     """
     if x.k != q.k:
         raise ModelError("dimension mismatch")
     target = BlockVector(x.values, integer=x.is_integer)
     if x.norm == 0.0:
         return Decomposition(parts=[], target=target, w_sum=0.0, method="empty")
-    best, parts, method = _search_parts(x, q, x.k, restarts, seed)
+    best, parts, method, moves, evaluations = _search_parts(x, q, x.k,
+                                                            restarts, seed)
     integer = x.is_integer and method == "pseudodefinite-shortcut"
     dec = Decomposition(parts=[BlockVector(p, integer=integer) for p in parts],
-                        target=target, w_sum=best, method=method)
+                        target=target, w_sum=best, method=method,
+                        moves=moves, evaluations=evaluations)
     dec.validate()
     return dec
 

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -129,9 +130,21 @@ class TestRunExperiment:
     def test_budget_failure_recorded_in_row(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(
             model={"kind": "gnp", "n": 40, "p": 0.5},
-            chi_methods=["exact"], measures=["chi"], exact_budget=3))
-        rows = run_experiment(cfg, str(tmp_path / "r.csv"))
-        assert all("exact_budget" in r.status for r in rows)
+            chi_methods=["exact"], measures=["chi", "edge_count"],
+            exact_budget=3))
+        out = tmp_path / "r.csv"
+        rows = run_experiment(cfg, str(out))
+        assert all(re.fullmatch(r"exact_budget\[\d+\.\.\d+\]", r.status)
+                   for r in rows)
+        # the bracket must not split the row: every line has the header's
+        # fields, and a plot reads the column it names
+        lines = out.read_text().splitlines()[1:]
+        assert {len(ln.split(",")) for ln in lines} == {len(lines[0].split(","))}
+        plot = tmp_path / "p.tsv"
+        emit_plotdata(str(out), "replicate", "edge_count", str(plot))
+        got = [ln.split("\t") for ln in plot.read_text().splitlines()[1:]]
+        assert got == [[str(r.replicate), str(int(r.values["edge_count"]))]
+                       for r in rows]
 
     def test_row_order_is_point_major(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(

@@ -275,6 +275,128 @@ class TestSolver:
             assert v1 == pytest.approx(v2, rel=1e-6, abs=1e-6)
 
 
+def full_local_search(rows, qm):
+    """The w* local search as it was before its candidate cache: every
+    iteration rebuilds and re-evaluates both rows of every live candidate.
+    Kept as the reference; the only addition is the move counter."""
+    _w_batch = functionals._w_batch
+    _MOVE_FRACS = functionals._MOVE_FRACS
+    moves = 0
+    n_parts, k = rows.shape
+    tol = 1e-12 * max(1.0, float(rows.sum()))
+    roww = _w_batch(rows, qm)
+    total = float(roww.sum())
+    pairs = [(t1, t2) for t1 in range(n_parts) for t2 in range(n_parts) if t1 != t2]
+    t1s_all = np.array([p[0] for p in pairs for _ in range(k)])
+    t2s_all = np.array([p[1] for p in pairs for _ in range(k)])
+    js_all = np.array([j for _ in pairs for j in range(k)])
+    while_guard = 64 * n_parts * k  # accepted-move cap, never hit in practice
+    for frac in _MOVE_FRACS:
+        for _ in range(while_guard):
+            amounts = rows[t1s_all, js_all] * frac
+            live = amounts > tol
+            if not np.any(live):
+                break
+            t1s, t2s, js, amt = (t1s_all[live], t2s_all[live],
+                                 js_all[live], amounts[live])
+            m = t1s.size
+            r1 = rows[t1s].copy()
+            r1[np.arange(m), js] -= amt
+            r2 = rows[t2s].copy()
+            r2[np.arange(m), js] += amt
+            gains = (_w_batch(r1, qm) + _w_batch(r2, qm)) - (roww[t1s] + roww[t2s])
+            pick = int(np.argmin(gains))
+            if gains[pick] >= -1e-12 * max(1.0, abs(total)):
+                break
+            rows[t1s[pick]] = r1[pick]
+            rows[t2s[pick]] = r2[pick]
+            roww[[t1s[pick], t2s[pick]]] = _w_batch(
+                rows[[t1s[pick], t2s[pick]]], qm)
+            total = float(roww.sum())
+            moves += 1
+    return total, rows, moves
+
+
+def search_start(rng, k, n_parts):
+    """A seeded allocation matrix with a zero column (dead candidates), a
+    column held whole by one row, and random splits elsewhere."""
+    xv = rng.integers(1, 9, k).astype(np.float64)
+    xv[rng.integers(k)] = 0.0
+    rows = np.zeros((n_parts, k))
+    for j in range(k):
+        if j % 2 == 0:
+            rows[rng.integers(n_parts), j] = xv[j]
+        else:
+            cuts = np.sort(rng.random(n_parts - 1))
+            rows[:, j] = xv[j] * np.diff(np.concatenate(([0.0], cuts, [1.0])))
+    return rows
+
+
+class TestCachedLocalSearch:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
+    def test_bitwise_equal_to_full_reevaluation(self, k):
+        rng = np.random.default_rng(400 + k)
+        for q in (disassortative_q(rng, k), rand_qmatrix(rng, k, hi=0.9)):
+            for n_parts in range(2, k + 1):
+                start = search_start(rng, k, n_parts)
+                total, rows, moves, _ = functionals._local_search(
+                    start.copy(), q.entries)
+                ref_total, ref_rows, ref_moves = full_local_search(
+                    start.copy(), q.entries)
+                assert total == ref_total
+                assert np.array_equal(rows, ref_rows)
+                assert moves == ref_moves
+
+    def test_evaluations_count_rows_passed_to_the_engine(self, monkeypatch):
+        rng = np.random.default_rng(410)
+        q = disassortative_q(rng, 5).entries
+        start = search_start(rng, 5, 3)
+        seen = []
+        engine = functionals._w_batch
+
+        def counted(rows, qm):
+            seen.append(rows.shape[0])
+            return engine(rows, qm)
+
+        monkeypatch.setattr(functionals, "_w_batch", counted)
+        _, _, moves, evals = functionals._local_search(start, q)
+        assert moves > 0
+        assert evals == sum(seen)
+        assert all(m != 1 for m in seen)  # one-row batches take another BLAS path
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_w_star_solve_matches_full_reevaluation(self, seed, monkeypatch):
+        rng = np.random.default_rng(420 + seed)
+        q = disassortative_q(rng, 6)
+        x = BlockVector.integral(rng.integers(1, 8, 6))
+        dec = w_star_solve(x, q, seed=seed)
+        ref_moves = []
+
+        def reference(rows, qm):
+            total, rows, moves = full_local_search(rows, qm)
+            ref_moves.append(moves)
+            return total, rows, moves, 0
+
+        monkeypatch.setattr(functionals, "_local_search", reference)
+        ref = w_star_solve(x, q, seed=seed)
+        assert dec.method == ref.method == "local-search"
+        assert dec.w_sum == ref.w_sum
+        assert len(dec.parts) == len(ref.parts)
+        for p, r in zip(dec.parts, ref.parts):
+            assert np.array_equal(p.values, r.values)
+            assert p.is_integer == r.is_integer
+        assert np.array_equal(dec.target.values, ref.target.values)
+        assert dec.moves == sum(ref_moves) > 0
+        assert dec.evaluations > 0
+
+    def test_effort_is_zero_without_a_search(self):
+        shortcut = w_star_solve(BlockVector([2, 2]), I2)
+        empty = w_star_solve(BlockVector([0, 0]), Q_CROSS)
+        assert shortcut.method == "pseudodefinite-shortcut"
+        assert (shortcut.moves, shortcut.evaluations) == (0, 0)
+        assert (empty.moves, empty.evaluations) == (0, 0)
+
+
 class TestWEll:
     def test_ell_one_is_w(self):
         assert w_ell(BlockVector([1, 1]), Q_CROSS, 1) == pytest.approx(
