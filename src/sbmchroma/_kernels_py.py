@@ -1,12 +1,13 @@
 """Pure-Python reference implementation of the search kernels.
 
-The compiled extension (_kernels_cy) implements the same search, node order
-and results; bitset state in Python, per-vertex words in C.  Either backend
-must produce identical results for identical inputs.  Vertex bitsets are
-plain Python integers here.  DSATUR keeps, per colour, the set of vertices
-with a neighbour of that colour, and every vertex's saturation as
-bit-sliced counters, so a pick or a colouring step costs O(log n)
-big-integer operations and no loop over the vertices.
+The compiled extension (_kernels_c, from _kernels_c.c) implements the same
+search, node order, node counts and results with vertex sets in 64-bit
+words.  Either backend must produce identical results for identical inputs;
+the parity tests compare them.  Vertex bitsets are plain Python integers
+here.  DSATUR keeps, per colour, the set of vertices with a neighbour of
+that colour, and every vertex's saturation as bit-sliced counters, so a
+pick or a colouring step costs O(log n) big-integer operations and no loop
+over the vertices.
 
 Kernels:
   exact_coloring                 DSATUR-style branch and bound for chi(G)

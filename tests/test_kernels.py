@@ -1,7 +1,5 @@
 import importlib.util
-import json
 import os
-import re
 import shutil
 import sysconfig
 from collections import Counter
@@ -21,17 +19,21 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "sbmchroma"
 
 @pytest.fixture(scope="session")
 def kcy(tmp_path_factory):
-    """The compiled kernels, built from the shipped _kernels_cy.c into a
-    temporary directory and imported from there, so that parity runs
-    wherever a C compiler exists, installed extension or not."""
+    """The compiled kernels, built from _kernels_c.c into a temporary
+    directory and imported from there, so that parity runs wherever a C
+    compiler exists, installed extension or not.  With gcc or clang every
+    warning is an error."""
     compiler = (os.environ.get("CC") or sysconfig.get_config_var("CC")
                 or "cc").split()[0]
     if shutil.which(compiler) is None:
         pytest.skip(f"no C compiler ({compiler}) to build the compiled kernels")
     from setuptools import Distribution, Extension
 
-    out = tmp_path_factory.mktemp("kernels_cy")
-    ext = Extension("sbmchroma._kernels_cy", [str(SRC / "_kernels_cy.c")])
+    out = tmp_path_factory.mktemp("kernels_c")
+    strict = any(name in Path(compiler).name for name in ("gcc", "clang"))
+    ext = Extension("sbmchroma._kernels_c", [str(SRC / "_kernels_c.c")],
+                    extra_compile_args=(["-Wall", "-Wextra", "-Werror"]
+                                        if strict else []))
     build = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
     build.build_lib, build.build_temp = str(out), str(out / "tmp")
     build.ensure_finalized()
@@ -165,10 +167,29 @@ class TestDispatcherWithCompiled:
                 == kpy.exact_coloring(g.n, adj, 10 ** 4))
         assert compiled.calls == 1
 
+    @pytest.mark.parametrize("adj, chi", [
+        pytest.param(clique_adj(65), 65, id="K65"),
+        pytest.param(clique_adj(70), 70, id="K70"),
+        # clique 66, chi 67: the search runs above 64 colours
+        pytest.param(join_adj(clique_adj(64), [0b10010, 0b00101, 0b01010,
+                                               0b10100, 0b01001]),
+                     67, id="K64-join-C5"),
+        # 200 vertices: clique 65, DSATUR 67, and the search proves 66
+        pytest.param(join_adj(clique_adj(62), random_adj(
+            np.random.default_rng(1), 138, 0.06)), 66, id="K62-join-G138"),
+    ])
+    def test_compiled_runs_above_64_colours(self, kcy, compiled, adj, chi):
+        n = len(adj)
+        got = kcy.exact_coloring(n, adj, 10 ** 6)
+        assert got[:3] == (kernels.OK, chi, chi)
+        assert kernels.exact_coloring(n, adj, 10 ** 6) == got
+        assert compiled.calls == 1
+        assert kpy.exact_coloring(n, adj, 10 ** 6) == got
+
 
 class TestDispatcher:
     def test_backend_reported(self):
-        assert kernels.BACKEND in ("cython", "python")
+        assert kernels.BACKEND in ("c", "python")
 
     @pytest.mark.parametrize("backend", ["python", "compiled"])
     def test_independent_set_nodes_clamped_to_the_limit(
@@ -198,24 +219,6 @@ class TestDispatcher:
         assert kernels.exact_coloring(64, clique_adj(64), 10) == "compiled"
         assert compiled.calls == 1
 
-    @pytest.mark.parametrize("adj, chi", [
-        pytest.param(clique_adj(70), 70, id="K70"),
-        # clique 66, chi 67: the search runs above 64 colours
-        pytest.param(join_adj(clique_adj(64), [0b10010, 0b00101, 0b01010,
-                                               0b10100, 0b01001]),
-                     67, id="K64-join-C5"),
-    ])
-    def test_falls_back_above_64_colours(self, monkeypatch, adj, chi):
-        def never(n, adj, budget):
-            raise AssertionError("the compiled DSATUR does not return on a "
-                                 "graph that needs more than 64 colours")
-        monkeypatch.setattr(kernels, "_compiled",
-                            SimpleNamespace(MAX_VERTICES=512, exact_coloring=never))
-        n = len(adj)
-        got = kernels.exact_coloring(n, adj, 10 ** 6)
-        assert got == kpy.exact_coloring(n, adj, 10 ** 6)
-        assert got[:3] == (kernels.OK, chi, chi)
-
     def test_dispatch_still_correct_beyond_compiled_limits(self):
         g = sample_sbm(ModelInstance.gnp(70, 0.1), 3)
         status, chi, lower, colours = kernels.exact_coloring(
@@ -227,18 +230,36 @@ class TestDispatcher:
 
 
 class TestPurePythonKernels:
-    def test_empty_and_edgeless(self):
-        assert kpy.exact_coloring(0, [], 100) == (0, 0, 0, [])
-        assert kpy.exact_coloring(3, [0, 0, 0], 100) == (0, 1, 1, [0, 0, 0])
+    @pytest.fixture
+    def kernel(self):
+        return kpy
 
-    def test_independent_set_rejects_empty(self):
+    def test_empty_and_edgeless(self, kernel):
+        assert kernel.exact_coloring(0, [], 100) == (0, 0, 0, [])
+        assert kernel.exact_coloring(3, [0, 0, 0], 100) == (0, 1, 1, [0, 0, 0])
+
+    def test_independent_set_rejects_empty(self, kernel):
         with pytest.raises(ValueError):
-            kpy.best_weighted_independent_set(0, [], [], 100)
+            kernel.best_weighted_independent_set(0, [], [], 100)
 
-    def test_zero_weights(self):
-        status, h, mask, _ = kpy.best_weighted_independent_set(
+    def test_zero_weights(self, kernel):
+        status, h, mask, _ = kernel.best_weighted_independent_set(
             3, [0, 0, 0], [0.0] * 9, 100)
         assert status == kernels.OK and h == 0.0 and mask == 1
+
+
+class TestCompiledKernels(TestPurePythonKernels):
+    """The same edge cases on the compiled kernels, and their size limits."""
+
+    @pytest.fixture
+    def kernel(self, kcy):
+        return kcy
+
+    def test_refuses_past_its_limits(self, kernel):
+        with pytest.raises(ValueError):
+            kernel.exact_coloring(513, [0] * 513, 100)
+        with pytest.raises(ValueError):
+            kernel.best_weighted_independent_set(65, [0] * 65, [0.0] * 65 ** 2, 100)
 
 
 # Loop-based references for the bitset DSATUR in _kernels_py: the pick
@@ -388,54 +409,3 @@ class TestBitsetDsaturMatchesLoopReference:
         adj = [0b00010, 0b00101, 0b01010, 0b10100, 0b01000]
         assert kpy.dsatur_greedy(5, adj, [0] * 5) == (2, [1, 0, 1, 0, 1])
         assert kpy.dsatur_greedy(5, adj, [1, 1, 0, 1, 1]) == (2, [0, 1, 0, 1, 0])
-
-
-_ORIGIN = re.compile(r'^\s*/\* "sbmchroma/_kernels_cy\.pyx":(\d+)$')
-_MARK = "             # <<<<<<<<<<<<<<"
-
-
-def quoted_pyx_lines(c_lines: list[str]) -> list[tuple[int, str]]:
-    """(pyx line number, quoted text) for every source line that the
-    generated C quotes in its origin comments."""
-    out = []
-    for i, line in enumerate(c_lines):
-        origin = _ORIGIN.match(line)
-        if origin is None:
-            continue
-        block = []
-        for quoted in c_lines[i + 1:]:
-            if quoted == "*/":
-                break
-            block.append(quoted)
-        marked = [j for j, q in enumerate(block) if q.endswith(_MARK)]
-        assert len(marked) == 1, f"origin comment at C line {i + 1}"
-        first = int(origin.group(1)) - marked[0]
-        for j, quoted in enumerate(block):
-            text = quoted[3:]  # drop the " * " prefix
-            if j == marked[0]:
-                text = text[:-len(_MARK)]
-            out.append((first + j, text))
-    return out
-
-
-class TestGeneratedSourceMatchesPyx:
-    """The shipped C is what the build compiles when Cython is missing; it
-    must be generated from the .pyx as it stands."""
-
-    c_lines = (SRC / "_kernels_cy.c").read_text().splitlines()
-    pyx_lines = (SRC / "_kernels_cy.pyx").read_text().splitlines()
-
-    def test_metadata_names_the_pyx_as_only_source(self):
-        text = "\n".join(self.c_lines[:40])
-        meta = re.search(r"BEGIN: Cython Metadata\n(.*?)\nEND: Cython Metadata",
-                         text, re.S)
-        assert meta is not None
-        info = json.loads(meta.group(1))
-        assert info["distutils"]["sources"] == ["src/sbmchroma/_kernels_cy.pyx"]
-        assert info["module_name"] == "sbmchroma._kernels_cy"
-
-    def test_quoted_lines_equal_the_pyx(self):
-        quoted = quoted_pyx_lines(self.c_lines)
-        assert len({num for num, _ in quoted}) > 0.9 * len(self.pyx_lines)
-        for num, text in quoted:
-            assert text == self.pyx_lines[num - 1], f".pyx line {num}"
