@@ -16,7 +16,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -28,7 +28,7 @@ from .graphs import (BlowUpSpec, blow_up_as_model, check_chung_lu,
                      sample_chung_lu, sample_sbm, union_graphs, union_model)
 from .model import BlockVector, ModelError, ModelInstance, ProbMatrix, q_star
 from .predictions import (predict_chung_lu, predict_gnp, predict_percolation,
-                          predict_two_block, sigma_estimate)
+                          predict_sbm, predict_two_block, sigma_estimate)
 from .seeds import derive_seed, mix_seed
 
 __all__ = ["ConfigError", "ExperimentConfig", "ReportRow", "run_experiment",
@@ -45,6 +45,14 @@ DEFAULT_EXACT_GUARD = 70
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+# how ExperimentConfig.from_dict reads each config key; no other key is valid
+_READ = {"model": dict, "replicates": int, "base_seed": int,
+         "chi_methods": list, "measures": list,
+         "sweep": lambda entries: [dict(e) for e in entries], "epsilon": float,
+         "exact_budget": int, "exact_guard": int, "alpha_h_mode": str,
+         "extraction_effort": int, "workers": int}
 
 
 @dataclass
@@ -64,23 +72,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        unknown = sorted(set(data) - set(_READ))
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}")
         try:
-            cfg = cls(
-                model=dict(data["model"]),
-                replicates=int(data["replicates"]),
-                base_seed=int(data["base_seed"]),
-                chi_methods=list(data.get("chi_methods", ["dsatur"])),
-                measures=list(data.get("measures", ["chi"])),
-                sweep=[dict(s) for s in data.get("sweep", [])],
-                epsilon=float(data.get("epsilon", 0.2)),
-                exact_budget=int(data.get("exact_budget",
-                                          chrom.DEFAULT_COLOURING_BUDGET)),
-                exact_guard=int(data.get("exact_guard", DEFAULT_EXACT_GUARD)),
-                alpha_h_mode=str(data.get("alpha_h_mode", "heuristic")),
-                extraction_effort=int(data.get("extraction_effort", 8)),
-                workers=int(data.get("workers", 1)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            cfg = cls(**{k: _READ[k](v) for k, v in data.items()})
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed experiment config: {exc}") from exc
         cfg.validate()
         return cfg
@@ -138,67 +135,67 @@ class ExperimentConfig:
 
 
 def _apply_param(spec: dict, name: str, value) -> None:
-    kind = spec.get("kind")
+    """Set sweep parameter `name` of a model spec: `p12`, one `P.i.j`
+    entry (kept symmetric), or a key the spec already has."""
     if name == "p12":
-        if kind not in ("sbm",) or len(spec.get("P", [])) != 2:
+        if spec.get("kind") != "sbm" or len(spec.get("P", [])) != 2:
             raise ConfigError("sweeping p12 needs a two-block sbm model")
         spec["P"][0][1] = spec["P"][1][0] = value
-        return
-    if name.startswith("P."):  # P.i.j entry of the probability matrix
+    elif name.startswith("P."):
         try:
             _, i, j = name.split(".")
             i, j = int(i), int(j)
+            if min(i, j) < 0:
+                raise IndexError("negative index")
             spec["P"][i][j] = spec["P"][j][i] = value
         except (KeyError, ValueError, IndexError) as exc:
             raise ConfigError(f"cannot sweep {name!r}: {exc}") from exc
-        return
-    spec[name] = value
+    elif name in spec:
+        spec[name] = value
+    else:
+        raise ConfigError(f"cannot sweep {name!r}: the model has no such key")
 
 
-# --- model realisation ------------------------------------------------------
+# --- one grid point ---------------------------------------------------------
 
-def _block_models(spec: dict) -> tuple[Optional[ModelInstance], tuple]:
-    """(block-model instance, the instances its graphs are sampled from)
-    for a model spec; (None, ()) for the per-vertex kinds."""
+def _models(spec: dict) -> tuple[Optional[ModelInstance],
+                                 Optional[ModelInstance], tuple]:
+    """(block model, colouring model, instances graphs are sampled from)
+    for a model spec; ModelError for invalid parameters.  The Chung-Lu
+    kinds have no block model and colour with one block per vertex (k = n),
+    or with no model when some entry reaches 1 (plus kind, 2 p max(u) >= 1).
+    """
     kind = spec["kind"]
+    if kind in ("chunglu-times", "chunglu-plus"):
+        p = float(spec["p"])
+        u = check_chung_lu(spec["u"], p, kind.removeprefix("chunglu-"))
+        pm = p * (np.outer(u, u) if kind == "chunglu-times"
+                  else u[:, None] + u[None, :])
+        try:
+            model = ModelInstance(BlockVector.integral([1] * u.size),
+                                  ProbMatrix(pm))
+        except ModelError:
+            model = None
+        return None, model, ()
+    if kind == "union-sbm":
+        parts = tuple(_models(part)[0] for part in spec["of"])
+        inst = union_model(*parts)
+        return inst, inst, parts
     if kind == "sbm":
         inst = ModelInstance(BlockVector.integral(spec["sizes"]),
                              ProbMatrix(spec["P"]),
                              sigma_hint=spec.get("sigma_hint"))
     elif kind == "gnp":
         inst = ModelInstance.gnp(int(spec["n"]), float(spec["p"]))
-    elif kind == "blowup-percolate":
+    else:  # blowup-percolate
         bspec = BlowUpSpec.from_edges(int(spec["k"]), spec["h_edges"],
                                       spec["sizes"])
         inst = blow_up_as_model(bspec, float(spec["p"]))
-    elif kind == "union-sbm":
-        parts = tuple(_block_models(part)[0] for part in spec["of"])
-        return union_model(*parts), parts
-    else:
-        return None, ()  # chunglu kinds: blocks are per-vertex
-    return inst, (inst,)
-
-
-def _vertex_model_for(spec: dict) -> ModelInstance:
-    """Per-vertex-block instance for the Chung-Lu kinds (k = n).
-
-    Raises ModelError when some entry reaches 1 (e.g. plus kind with
-    2 p max(u) >= 1); callers then record the row as lacking a model.
-    """
-    u = np.asarray(spec["u"], dtype=np.float64)
-    p = float(spec["p"])
-    if spec["kind"] == "chunglu-times":
-        pm = p * np.outer(u, u)
-    else:
-        pm = p * (u[:, None] + u[None, :])
-    return ModelInstance(BlockVector.integral(np.ones(u.size, dtype=np.int64)),
-                         ProbMatrix(pm))
+    return inst, inst, (inst,)
 
 
 def _sample(spec: dict, parts: tuple, seed: int):
     kind = spec["kind"]
-    if kind in ("sbm", "gnp", "blowup-percolate"):
-        return sample_sbm(parts[0], seed)
     if kind == "union-sbm":
         g1 = sample_sbm(parts[0], derive_seed(seed, 1))
         g2 = sample_sbm(parts[1], derive_seed(seed, 2))
@@ -206,13 +203,31 @@ def _sample(spec: dict, parts: tuple, seed: int):
     if kind in ("chunglu-times", "chunglu-plus"):
         return sample_chung_lu(spec["u"], float(spec["p"]),
                                kind.removeprefix("chunglu-"), seed)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    return sample_sbm(parts[0], seed)
 
 
-# --- predictions per grid point ----------------------------------------------
-
-# The integer system a grid point's extraction rows share (see below).
-_PointSystem = Union[Decomposition, GuardError, None]
+def _model_prediction(spec: dict) -> Optional[float]:
+    """The model kind's own chi formula, or None where it is undefined."""
+    kind = spec["kind"]
+    try:
+        if kind == "gnp":
+            return predict_gnp(int(spec["n"]), float(spec["p"])).chi_predicted
+        if kind == "blowup-percolate":
+            bspec = BlowUpSpec.from_edges(int(spec["k"]), spec["h_edges"],
+                                          spec["sizes"])
+            return predict_percolation(bspec, float(spec["p"])).chi_predicted
+        if kind == "sbm" and len(spec["sizes"]) == 2:
+            (p11, p12), (_, p22) = spec["P"]
+            return predict_two_block(
+                int(spec["sizes"][0]), int(spec["sizes"][1]), float(p11),
+                float(p22), float(p12)).chi_predicted
+        if kind in ("chunglu-times", "chunglu-plus"):
+            return predict_chung_lu(spec["u"], float(spec["p"]),
+                                    kind.removeprefix("chunglu-")
+                                    ).chi_predicted
+    except (ModelError, GuardError):
+        pass
+    return None
 
 
 @dataclass(frozen=True)
@@ -222,59 +237,37 @@ class _GridPoint:
     params: dict
     spec: dict
     parts: tuple                    # the instances graphs are sampled from
-    model: Optional[ModelInstance]  # block or per-vertex model; None if none
+    model: Optional[ModelInstance]  # the colouring model; None if none
     preds: dict                     # the prediction columns
-    system: _PointSystem            # the extraction rows' integer system
+    system: Union[Decomposition, GuardError, None]  # the extraction system
     status: tuple[str, ...]         # notes in the status of every row
 
 
 def _grid_point(params: dict, spec: dict, cfg: ExperimentConfig) -> _GridPoint:
-    inst, parts = _block_models(spec)
-    model = inst
-    if inst is None:
-        try:
-            model = _vertex_model_for(spec)
-        except ModelError:
-            model = None
-    preds, system, status = _point_predictions(spec, inst, model, cfg)
-    return _GridPoint(params, spec, parts, model, preds, system, status)
-
-
-def _point_predictions(spec: dict, inst: Optional[ModelInstance],
-                       model: Optional[ModelInstance], cfg: ExperimentConfig
-                       ) -> tuple[dict, _PointSystem, tuple[str, ...]]:
-    """All prediction columns for one grid point, the integer system that
-    every extraction row of the point shares (both are
-    replicate-independent), and the point's notes for the rows' status.
-
-    `inst` is the block model (None for the per-vertex kinds) and `model`
-    the model extraction colours with.  One w* solve serves the chi
-    prediction and the system.  The system is None when no row extracts,
-    and the solve's GuardError when the model is too large for it; then the
-    w*-based chi predictions stay empty and, when the point predicts, its
-    rows record `wstar_guard[...]`.
+    """The replicate-independent part of a grid point's rows.  One w* solve
+    serves the block model's chi predictions and the extraction system.
+    The system is None when no row extracts, and the solve's GuardError
+    when the model is too large for it; then the w*-based predictions stay
+    empty and, when the point predicts, its rows record `wstar_guard[...]`.
     """
-    out = {"chi_pred_qstar": None, "chi_pred_sigma": None,
-           "chi_pred_model": None, "alpha_pred_qstar": None,
-           "alpha_pred_sigma": None, "edges_pred": None}
-    kind = spec["kind"]
+    inst, model, parts = _models(spec)
+    preds = dict.fromkeys(_PRED_COLS)
+    preds["chi_pred_model"] = _model_prediction(spec)
+    if model is not None:
+        preds["edges_pred"] = model.expected_edges()
+        norm = model.sizes.norm
+        qn = q_star(model.q) * norm
+        if qn > 1.0 and norm >= 2:
+            preds["alpha_pred_qstar"] = math.log(qn)
+    # sigma is defined wherever alpha_pred_qstar is (q* ||n|| > 1, ||n|| >= 2)
+    predicts = inst is not None and preds["alpha_pred_qstar"] is not None
+    if predicts:
+        sigma = sigma_estimate(inst)
+        preds["alpha_pred_sigma"] = (1.0 - sigma) * math.log(norm)
     extracts = ("chi" in cfg.measures and "extraction" in cfg.chi_methods
                 and model is not None)
-    predicts = False
-    if inst is not None:
-        out["edges_pred"] = inst.expected_edges()
-        norm = inst.sizes.norm
-        qs = q_star(inst.q)
-        try:
-            sigma = sigma_estimate(inst)
-        except ModelError:
-            sigma = None
-        predicts = qs > 0.0 and qs * norm > 1.0 and sigma is not None
-    system: _PointSystem = None
+    system = None
     status: tuple[str, ...] = ()
-    if predicts:
-        out["alpha_pred_qstar"] = math.log(qs * norm)
-        out["alpha_pred_sigma"] = (1.0 - sigma) * math.log(norm)
     if predicts or extracts:
         try:
             real = w_star_solve(model.sizes, model.q,
@@ -287,41 +280,10 @@ def _point_predictions(spec: dict, inst: Optional[ModelInstance],
             if extracts:
                 system = round_integer_system(real, model.q)
             if predicts:
-                wstar = real.w_sum
-                out["chi_pred_qstar"] = wstar / (2.0 * math.log(qs * norm))
-                out["chi_pred_sigma"] = (wstar / (2.0 * (1.0 - sigma)
-                                                  * math.log(norm)))
-    if kind == "gnp":
-        n, p = int(spec["n"]), float(spec["p"])
-        if p * n > 1.0:
-            out["chi_pred_model"] = predict_gnp(n, p).chi_predicted
-    elif kind == "blowup-percolate":
-        bspec = BlowUpSpec.from_edges(int(spec["k"]), spec["h_edges"],
-                                      spec["sizes"])
-        p = float(spec["p"])
-        if p * bspec.sizes.norm > 1.0:
-            out["chi_pred_model"] = predict_percolation(bspec, p).chi_predicted
-    elif kind == "sbm" and len(spec.get("sizes", [])) == 2:
-        P = spec["P"]
-        try:
-            out["chi_pred_model"] = predict_two_block(
-                int(spec["sizes"][0]), int(spec["sizes"][1]),
-                float(P[0][0]), float(P[1][1]), float(P[0][1])).chi_predicted
-        except ModelError:
-            pass
-    elif kind in ("chunglu-times", "chunglu-plus"):
-        try:
-            out["chi_pred_model"] = predict_chung_lu(
-                spec["u"], float(spec["p"]),
-                kind.removeprefix("chunglu-")).chi_predicted
-        except ModelError:
-            pass
-        if model is not None:
-            qs = q_star(model.q)
-            if qs > 0.0 and qs * model.sizes.norm > 1.0:
-                out["alpha_pred_qstar"] = math.log(qs * model.sizes.norm)
-            out["edges_pred"] = model.expected_edges()
-    return out, system, status
+                pred = predict_sbm(inst, real.w_sum)
+                preds["chi_pred_qstar"] = pred.chi_qstar_form
+                preds["chi_pred_sigma"] = pred.chi_sigma_form
+    return _GridPoint(params, spec, parts, model, preds, system, status)
 
 
 @dataclass
@@ -420,11 +382,6 @@ def _measure_row(cfg: ExperimentConfig, point_idx: int, replicate: int,
                      runtime_ms=runtime)
 
 
-def _run_cell(args):
-    cfg_dict, *cell = args
-    return _measure_row(ExperimentConfig.from_dict(cfg_dict), *cell)
-
-
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -448,24 +405,16 @@ def run_experiment(cfg: ExperimentConfig, out_path: str) -> list[ReportRow]:
     """
     cfg.validate()
     points = cfg.grid_points()
-    cells = []
-    for point_idx, params in enumerate(points):
-        spec = cfg.model_at(params)
-        if spec["kind"] in ("chunglu-times", "chunglu-plus"):  # fail fast
-            check_chung_lu(spec["u"], float(spec["p"]),
-                           spec["kind"].removeprefix("chunglu-"))
-        point = _grid_point(params, spec, cfg)  # block kinds fail here
-        for replicate in range(cfg.replicates):
-            cells.append((point_idx, replicate, point))
+    # an invalid model fails here, before any row runs
+    grid = [_grid_point(pt, cfg.model_at(pt), cfg) for pt in points]
+    cells = [(cfg, idx, replicate, point) for idx, point in enumerate(grid)
+             for replicate in range(cfg.replicates)]
 
     if cfg.workers > 1:
-        cfg_dict = dict(asdict(cfg), workers=1)
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(
-                _run_cell,
-                [(cfg_dict, *cell) for cell in cells], chunksize=1))
+            rows = list(pool.map(_measure_row, *zip(*cells), chunksize=1))
     else:
-        rows = [_measure_row(cfg, *cell) for cell in cells]
+        rows = [_measure_row(*cell) for cell in cells]
     rows.sort(key=lambda r: (r.point, r.replicate))
 
     param_names = cfg.param_names()

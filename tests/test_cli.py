@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +37,7 @@ class TestGen:
         assert code == 0 and info["n"] == 9
         run_cli(capsys, "gen", "--model", "sbm", "--model-file", model_file,
                 "--seed", "7", "--out", out2)
-        assert open(out1).read() == open(out2).read()
+        assert Path(out1).read_text() == Path(out2).read_text()
 
     def test_blowup_then_percolate_then_union(self, tmp_path, blowup_file,
                                               capsys):

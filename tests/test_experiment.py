@@ -36,6 +36,59 @@ P_WSTAR = [
 ]
 
 
+# One small grid per model kind that no other digest test pins.  The sweeps
+# cross the regimes where prediction columns are empty and where they are
+# defined.
+_KIND_BASE = {"measures": ["chi", "alpha_h", "edge_count"],
+        "replicates": 2, "base_seed": 20260810}
+KIND_CONFIGS = {
+    "sbm-p12": dict(
+        _KIND_BASE, model={"kind": "sbm", "sizes": [12, 10],
+                     "P": [[0.5, 0.3], [0.3, 0.4]]},
+        sweep=[{"param": "p12", "values": [0.1, 0.45, 0.8]}],
+        chi_methods=["exact", "dsatur", "extraction"]),
+    "blowup-percolate": dict(
+        _KIND_BASE, model={"kind": "blowup-percolate", "k": 3, "sizes": [5, 6, 4],
+                     "h_edges": [[0, 1], [1, 2]], "p": 0.5},
+        sweep=[{"param": "p", "values": [0.05, 0.3, 0.6]}],
+        chi_methods=["exact", "dsatur", "extraction"]),
+    "union-sbm": dict(
+        _KIND_BASE, model={"kind": "union-sbm", "of": [
+            {"kind": "sbm", "sizes": [8, 6], "P": [[0.3, 0.1], [0.1, 0.2]]},
+            {"kind": "sbm", "sizes": [8, 6], "P": [[0.2, 0.4], [0.4, 0.1]]}]},
+        replicates=3, chi_methods=["exact", "dsatur", "extraction"]),
+    "chunglu-times": dict(
+        _KIND_BASE, model={"kind": "chunglu-times", "p": 0.6,
+                     "u": [0.4, 0.6, 0.8, 0.9, 1.0, 0.5, 0.7, 0.3, 0.95,
+                           0.85]},
+        sweep=[{"param": "p", "values": [0.05, 0.6, 0.9]}],
+        chi_methods=["dsatur", "extraction"]),
+    "chunglu-plus": dict(
+        _KIND_BASE, model={"kind": "chunglu-plus", "p": 0.4,
+                     "u": [0.2, 0.3, 0.4, 0.5, 0.35, 0.25, 0.45, 0.1, 0.15]},
+        sweep=[{"param": "p", "values": [0.05, 0.5, 0.9]}],
+        chi_methods=["dsatur", "extraction"]),
+}
+# report and summary sha256 of each config above
+KIND_DIGESTS = {
+    "sbm-p12": [
+        "b67491c575e7598f390567ebafd6ffe1d761e56764ac122d31a43fb1563cf253",
+        "49e75f8fb66bc4185154586c2092fa8fcdfa060004f3b248912d776de4669906"],
+    "blowup-percolate": [
+        "fbe39ea6c8e9beefbb6cc91f7866b66985e611bcc48e7ec529cf584849531cda",
+        "e1bbaca5fa2c0fbb290c67f313f8728b075e51c4972323f3d1e011992c3dd414"],
+    "union-sbm": [
+        "e8095e6b133c87313813f7463d4bea79890fb9b70683c7a827533e8768e33886",
+        "08e47b4717179cef5bdde2c4eac7d6daa763db9575a3f59b84f40123693718f8"],
+    "chunglu-times": [
+        "3efc1be27c460627b727276d0a882895f4f6f557ad80276ae6d70532ce4b9277",
+        "bbadd4b3de16e0423bf8f8238af12628b97382896cb36779905e6b7ea7fe4ab3"],
+    "chunglu-plus": [
+        "1eb4881df2d6a68b2aab42925eabf95116431df81a5e92d1b928aa2a4d9d59c1",
+        "72923d1013a1d106452bfc0e3e1dd456fd94f4cb6efe23de3030838b8210f0e1"],
+}
+
+
 def base_config(**over):
     cfg = {
         "model": {"kind": "gnp", "n": 14, "p": 0.5},
@@ -73,6 +126,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(
                 base_config(sweep=[{"param": "n", "values": []}]))
+
+    @pytest.mark.parametrize("key", ["chi_method", "alpha_h_mod"])
+    def test_rejects_unknown_key(self, key):
+        # a misspelt key would otherwise run the defaults without a word
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict(base_config(**{key: "exact"}))
+
+    @pytest.mark.parametrize("model, param", [
+        # a key nothing reads: every grid point would be the same
+        ({"kind": "gnp", "n": 14, "p": 0.5}, "N"),
+        # a negative index would write another entry, here P[2][0]
+        ({"kind": "sbm", "sizes": [4, 4, 4], "P": [[0.3] * 3] * 3}, "P.-1.0"),
+        ({"kind": "sbm", "sizes": [4, 4, 4], "P": [[0.3] * 3] * 3}, "P.0.3"),
+        ({"kind": "gnp", "n": 14, "p": 0.5}, "p12"),
+    ])
+    def test_rejects_bad_sweep_param(self, tmp_path, model, param):
+        cfg = ExperimentConfig.from_dict(base_config(
+            model=model, sweep=[{"param": param, "values": [0.4]}]))
+        with pytest.raises(ConfigError, match="sweep"):
+            run_experiment(cfg, str(tmp_path / "r.csv"))
 
     def test_grid_is_cartesian_product(self):
         cfg = ExperimentConfig.from_dict(base_config(
@@ -213,6 +286,39 @@ class TestRunExperiment:
             assert r.predictions["chi_pred_sigma"] is None
             assert r.predictions["alpha_pred_qstar"] > 0
 
+    def test_single_vertex_block_model_runs_without_predictions(self,
+                                                                 tmp_path):
+        # ||n|| = 1: ln ||n|| = 0, so no prediction column is defined
+        cfg = ExperimentConfig.from_dict(base_config(
+            model={"kind": "sbm", "sizes": [1], "P": [[0.7]],
+                   "sigma_hint": 0.1},
+            chi_methods=["dsatur", "extraction"],
+            measures=["chi", "alpha_h", "edge_count"]))
+        rows = run_experiment(cfg, str(tmp_path / "r.csv"))
+        assert len(rows) == 2
+        for r in rows:
+            assert r.status == "ok"
+            assert r.values["chi_dsatur"] == r.values["chi_extraction"] == 1
+            assert {c for c, v in r.predictions.items()
+                    if v is not None} == {"edges_pred"}
+
+    def test_percolation_past_30_template_vertices_records_wstar_guard(
+            self, tmp_path):
+        # both the point's w* solve and the percolation formula's w* refuse
+        cfg = ExperimentConfig.from_dict(base_config(
+            model={"kind": "blowup-percolate", "k": 31, "sizes": [1] * 31,
+                   "h_edges": [[i, i + 1] for i in range(30)], "p": 0.6},
+            sweep=[{"param": "p", "values": [0.5, 0.6]}],
+            chi_methods=["dsatur"], measures=["chi", "alpha_h"]))
+        rows = run_experiment(cfg, str(tmp_path / "r.csv"))
+        assert len(rows) == 4
+        for r in rows:
+            assert r.status == ("wstar_guard[corner enumeration refuses "
+                                "k=31 > 30]")
+            assert set(r.values) == {"chi_dsatur", "alpha_h"}
+            assert r.predictions["chi_pred_qstar"] is None
+            assert r.predictions["chi_pred_model"] is None
+
     @pytest.mark.parametrize("sizes,P", [([10] * 5, P_MIXED),
                                          ([6] * 7, P_WSTAR)])
     def test_default_alpha_h_never_below_the_local_search(self, tmp_path,
@@ -280,6 +386,17 @@ class TestRunExperiment:
         assert digests == [
             "f85281ed000ad8cb334e1b43eb33cb73aab89f172a5e81ffad47fd677b9de73e",
             "9f993919b1678a08c20b81a688b5348ca58a9b3138f7db4a1b1f8c65339b0bc5"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(KIND_CONFIGS))
+    def test_report_digest_per_model_kind(self, tmp_path, name, workers):
+        cfg = ExperimentConfig.from_dict(dict(KIND_CONFIGS[name],
+                                              workers=workers))
+        out = tmp_path / "r.csv"
+        run_experiment(cfg, str(out))
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (out, tmp_path / "r.csv.summary.json")]
+        assert digests == KIND_DIGESTS[name]
 
     @pytest.mark.parametrize("model", [
         {"kind": "chunglu-times", "u": [0.5, 1.5, 0.2], "p": 0.4},
