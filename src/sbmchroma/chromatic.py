@@ -374,42 +374,58 @@ def _h_of_set(m: ModelInstance, g: SbmGraph, members: frozenset[int]) -> float:
             / len(members))
 
 
-def _refill(amat: np.ndarray, block_of: np.ndarray, ind: np.ndarray,
-            conf: np.ndarray, room: np.ndarray, rng) -> None:
+def _block_bits(block_of: Sequence[int], k: int) -> list[int]:
+    """Per-block vertex bitsets: bit v of entry b is set when v is in
+    block b."""
+    bits = [0] * k
+    for v, b in enumerate(block_of):
+        bits[b] |= 1 << v
+    return bits
+
+
+def _refill(adj: list[int], block_bits: list[int], block_of: np.ndarray,
+            ind: np.ndarray, free: int, room: np.ndarray, rng) -> None:
     """Adaptive randomized greedy fill of `ind`, in place.
 
-    A vertex is addable when it is outside `ind`, has no neighbour in it
-    (`conf`, the neighbour counts, is zero) and its block has `room` left.
-    Each step adds a random one of the 30 % of addable vertices with the
-    fewest addable neighbours, until none is addable.
+    A vertex is addable when it is in the bitset `free` (outside `ind`,
+    with no neighbour in it) and its block has `room` left.  Each step adds
+    a random one of the 30 % of addable vertices with the fewest addable
+    neighbours (ties by index), until none is addable.
     """
-    addable = (ind == 0.0) & (conf == 0.0) & (room[block_of] > 0)
-    while True:
-        cand = np.nonzero(addable)[0]
-        if cand.size == 0:
-            return
-        fwd = amat[cand] @ addable.astype(np.float64)
-        top = cand[np.argsort(fwd, kind="stable")]
-        top = top[:max(1, int(np.ceil(0.3 * cand.size)))]
-        v = int(top[rng.integers(top.size)])
+    addable = free
+    for b, left in enumerate(room):
+        if left <= 0:
+            addable &= ~block_bits[b]
+    while addable:
+        cand = []
+        rest = addable
+        while rest:
+            low = rest & -rest
+            cand.append(low.bit_length() - 1)
+            rest ^= low
+        top = sorted(cand, key=lambda u: (adj[u] & addable).bit_count())
+        v = top[rng.integers(max(1, math.ceil(0.3 * len(cand))))]
         ind[v] = 1.0
-        addable[v] = False
-        addable &= amat[v] == 0.0
+        addable &= ~adj[v] & ~(1 << v)
         b = block_of[v]
         room[b] -= 1
         if room[b] == 0:
-            addable &= block_of != b
+            addable &= ~block_bits[b]
 
 
-def _ruin(amat: np.ndarray, ind: np.ndarray, rng) -> np.ndarray:
+def _ruin(adj: list[int], ind: np.ndarray, rng) -> int:
     """Remove a random 40 % of the members of `ind` (at least one), in
-    place; returns the neighbour counts of what is left."""
+    place; returns the bitset of vertices outside what is left that have
+    no neighbour in it."""
     members = np.nonzero(ind > 0.0)[0]
     if members.size:
         kill = rng.choice(members, size=max(1, int(0.4 * members.size)),
                           replace=False)
         ind[kill] = 0.0
-    return amat @ ind
+    taken = 0
+    for v in np.nonzero(ind > 0.0)[0].tolist():
+        taken |= adj[v] | 1 << v
+    return ((1 << ind.size) - 1) & ~taken
 
 
 def _alpha_h_local_search(m: ModelInstance, g: SbmGraph, seed: int,
@@ -418,7 +434,8 @@ def _alpha_h_local_search(m: ModelInstance, g: SbmGraph, seed: int,
     teardown, refill; a drop pass trades large light sets for small heavy
     ones.  The best h seen anywhere is kept."""
     n = g.n
-    amat = g.adjacency_matrix()
+    adj = g.adjacency_bits()
+    bbits = _block_bits(g.block_of.tolist(), g.k)
     w = _pair_weights(m, g)
 
     def pair_sum(ind: np.ndarray) -> float:
@@ -457,15 +474,16 @@ def _alpha_h_local_search(m: ModelInstance, g: SbmGraph, seed: int,
     for r in range(restarts):
         rng = rng_from_seed(derive_seed(seed, r))
         ind = np.zeros(n)
-        _refill(amat, g.block_of, ind, np.zeros(n), g.block_sizes(), rng)
+        _refill(adj, bbits, g.block_of, ind, (1 << n) - 1, g.block_sizes(),
+                rng)
         consider(ind)
         consider(drop_pass(ind.copy()))
         cur = ind.copy()
         cur_h = h_of(cur)
         for _ in range(iters):
             ind = cur.copy()
-            conf = _ruin(amat, ind, rng)
-            _refill(amat, g.block_of, ind, conf, g.block_sizes(), rng)
+            free = _ruin(adj, ind, rng)
+            _refill(adj, bbits, g.block_of, ind, free, g.block_sizes(), rng)
             consider(ind)
             consider(drop_pass(ind.copy()))
             if h_of(ind) >= cur_h:  # accept ties to keep wandering
@@ -489,9 +507,7 @@ def _profile_feasible(adj: list[int], block_of: list[int], need: list[int],
     slack, taking that block's candidates lowest index first.  `need` is
     restored before returning.
     """
-    bmask = [0] * len(need)
-    for v, b in enumerate(block_of):
-        bmask[b] |= 1 << v
+    bmask = _block_bits(block_of, len(need))
     nodes = 0
 
     def rec(cand: int) -> Optional[bool]:
@@ -553,12 +569,13 @@ def find_balanced_independent_set(m: ModelInstance, g_remaining: SbmGraph,
         raise ModelError("target exceeds remaining block counts")
     if tgt.sum() == 0:
         return frozenset()
-    if _profile_feasible(g.adjacency_bits(), g.block_of.tolist(),
-                         tgt.tolist(), _PROFILE_CHECK_NODES) is False:
+    adj = g.adjacency_bits()
+    if _profile_feasible(adj, g.block_of.tolist(), tgt.tolist(),
+                         _PROFILE_CHECK_NODES) is False:
         return None
     n = g.n
-    amat = g.adjacency_matrix()
     blocks = g.block_of
+    bbits = _block_bits(blocks.tolist(), g.k)
 
     def room(ind: np.ndarray) -> np.ndarray:
         return tgt - np.bincount(blocks[ind > 0.0], minlength=g.k)
@@ -570,15 +587,15 @@ def find_balanced_independent_set(m: ModelInstance, g_remaining: SbmGraph,
     for attempt in range(effort):
         rng = rng_from_seed(derive_seed(seed, attempt))
         ind = np.zeros(n)
-        _refill(amat, blocks, ind, np.zeros(n), tgt.copy(), rng)
+        _refill(adj, bbits, blocks, ind, (1 << n) - 1, tgt.copy(), rng)
         cur = ind.copy()
         cur_def = deficit(cur)
         for _ in range(iters):
             if cur_def == 0:
                 break
             ind = cur.copy()
-            conf = _ruin(amat, ind, rng)
-            _refill(amat, blocks, ind, conf, room(ind), rng)
+            free = _ruin(adj, ind, rng)
+            _refill(adj, bbits, blocks, ind, free, room(ind), rng)
             new_def = deficit(ind)
             if new_def <= cur_def:  # accept ties to keep wandering
                 cur, cur_def = ind.copy(), new_def

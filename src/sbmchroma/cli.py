@@ -18,7 +18,8 @@ from . import chromatic as chrom
 from . import functionals as fn
 from . import graphs as gr
 from . import predictions as pred
-from .experiment import ExperimentConfig, emit_plotdata, run_experiment
+from .experiment import (ConfigError, ExperimentConfig, emit_plotdata,
+                         run_experiment)
 from .model import BlockVector, ModelError, ModelInstance
 
 __all__ = ["main"]
@@ -274,7 +275,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ModelError, fn.GuardError, FileNotFoundError) as exc:
+    except (ModelError, ConfigError, fn.GuardError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

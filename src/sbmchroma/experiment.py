@@ -179,6 +179,10 @@ def _models(spec: dict) -> tuple[Optional[ModelInstance],
         return None, model, ()
     if kind == "union-sbm":
         parts = tuple(_models(part)[0] for part in spec["of"])
+        for part, inst in zip(spec["of"], parts):
+            if inst is None:
+                raise ModelError(f"union-sbm part of kind {part['kind']!r} "
+                                 "is not a block model")
         inst = union_model(*parts)
         return inst, inst, parts
     if kind == "sbm":
@@ -383,10 +387,14 @@ def _measure_row(cfg: ExperimentConfig, point_idx: int, replicate: int,
 
 
 def _fmt(x) -> str:
+    """One report field; a list is written [a;b;...] so that it holds no
+    comma."""
     if x is None:
         return ""
     if isinstance(x, str):
         return x
+    if isinstance(x, (list, tuple)):
+        return "[" + ";".join(_fmt(v) for v in x) + "]"
     if isinstance(x, float):
         if float(x).is_integer() and abs(x) < 1e15:
             return str(int(x))

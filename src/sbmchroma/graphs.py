@@ -35,13 +35,12 @@ class SbmGraph:
 
     `edges` is the one edge representation: an m x 2 int64 array of pairs
     u < v in lexicographic order, read with numpy masks by every operation.
-    Immutable after construction; the dense adjacency matrix (for the local
-    searches) and the neighbour bitsets packed from it (for the colouring and
-    independence kernels) are built lazily and cached.
+    Immutable after construction.  The one adjacency structure, the
+    per-vertex neighbour bitsets that every graph search reads, is packed
+    from `edges` on first use and cached.
     """
 
-    __slots__ = ("n", "k", "block_of", "edges", "provenance", "_adj_bits",
-                 "_adj_mat")
+    __slots__ = ("n", "k", "block_of", "edges", "provenance", "_adj_bits")
 
     def __init__(self, n: int, block_of: Sequence[int], edges,
                  provenance: Optional[dict] = None, k: Optional[int] = None):
@@ -76,7 +75,6 @@ class SbmGraph:
         self.edges = arr
         self.provenance = dict(provenance or {})
         self._adj_bits = None
-        self._adj_mat = None
 
     # --- derived views -----------------------------------------------------
 
@@ -91,27 +89,21 @@ class SbmGraph:
         return BlockVector(self.block_sizes(), integer=True)
 
     def adjacency_bits(self) -> list[int]:
-        """Per-vertex neighbour bitsets (python ints), packed from the rows
-        of the adjacency matrix."""
+        """Per-vertex neighbour bitsets (python ints): bit v of entry u is
+        set when uv is an edge."""
         if self._adj_bits is None:
-            rows = np.packbits(self.adjacency_matrix() != 0, axis=1,
-                               bitorder="little")
+            mat = np.zeros((self.n, self.n), dtype=bool)
+            u, v = self.edges[:, 0], self.edges[:, 1]
+            mat[u, v] = mat[v, u] = True
+            rows = np.packbits(mat, axis=1, bitorder="little")
             self._adj_bits = [int.from_bytes(row.tobytes(), "little")
                               for row in rows]
         return self._adj_bits
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense read-only 0/1 adjacency matrix (float64, n x n)."""
-        if self._adj_mat is None:
-            mat = np.zeros((self.n, self.n))
-            u, v = self.edges[:, 0], self.edges[:, 1]
-            mat[u, v] = mat[v, u] = 1.0
-            mat.setflags(write=False)
-            self._adj_mat = mat
-        return self._adj_mat
-
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adjacency_matrix()[u, v])
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ModelError("vertex index out of range")
+        return bool(self.adjacency_bits()[u] >> v & 1)
 
     def _picks(self, vertices) -> np.ndarray:
         """`vertices` as an int64 array; ModelError for a vertex outside

@@ -594,7 +594,101 @@ class TestProfileCheck:
         assert outcomes == [None, None]
 
 
+# Ten graphs from 8 to 132 vertices, across one, two and three bitset
+# words: the outputs of the heuristic alpha_h and of the balanced search
+# for three targets each (one vertex a block, an eighth of each block, a
+# third of each block).  The None entries are infeasible targets; on
+# gnp64, gnp129 and sbm132 the exact check runs out of nodes and the
+# ruin-and-recreate search fails on its own.
+def _wide_sbm(sizes, p):
+    return ModelInstance(BlockVector.integral(sizes), ProbMatrix(p))
+
+
+WIDE_CASES = {
+    "gnp8": (ModelInstance.gnp(8, 0.3), 11),
+    "sbm3x": (_wide_sbm([6, 7, 8], [[0.5, 0.1, 0.2], [0.1, 0.6, 0.15],
+                                    [0.2, 0.15, 0.4]]), 12),
+    "gnp30": (ModelInstance.gnp(30, 0.5), 13),
+    "sbm4dis": (_wide_sbm([10, 12, 9, 11], [[0.1, 0.6, 0.5, 0.7],
+                                            [0.6, 0.05, 0.55, 0.6],
+                                            [0.5, 0.55, 0.2, 0.65],
+                                            [0.7, 0.6, 0.65, 0.15]]), 14),
+    "gnp64": (ModelInstance.gnp(64, 0.2), 15),
+    "sbm67": (_wide_sbm([20, 25, 22], [[0.3, 0.1, 0.05], [0.1, 0.25, 0.1],
+                                       [0.05, 0.1, 0.35]]), 16),
+    "gnp90": (ModelInstance.gnp(90, 0.1), 17),
+    "sbm110": (_wide_sbm([22, 20, 24, 21, 23],
+                         [[0.05, 0.4, 0.3, 0.35, 0.45],
+                          [0.4, 0.1, 0.3, 0.4, 0.3],
+                          [0.3, 0.3, 0.08, 0.35, 0.4],
+                          [0.35, 0.4, 0.35, 0.12, 0.3],
+                          [0.45, 0.3, 0.4, 0.3, 0.06]]), 18),
+    "gnp129": (ModelInstance.gnp(129, 0.15), 19),
+    "sbm132": (_wide_sbm([65, 67], [[0.2, 0.05], [0.05, 0.3]]), 20),
+}
+PINNED_WIDE_ALPHA_H = {
+    "gnp8": [1, 3, 4, 5, 6],
+    "sbm3x": [2, 3, 8, 10, 15, 17, 18, 20],
+    "gnp30": [3, 4, 6, 7, 14, 24],
+    "sbm4dis": [15, 19, 23, 30, 34, 38, 40],
+    "gnp64": [0, 1, 3, 8, 10, 11, 13, 14, 22, 26, 34, 35, 46, 51, 54, 59, 60,
+        62],
+    "sbm67": [0, 4, 12, 25, 26, 28, 33, 34, 37, 39, 41, 43, 44, 45, 47, 55, 59,
+        61, 63],
+    "gnp90": [3, 4, 5, 7, 10, 12, 15, 16, 17, 21, 24, 25, 27, 30, 37, 38, 45,
+        49, 50, 51, 54, 55, 56, 58, 64, 70, 71, 75, 80, 81, 84],
+    "sbm110": [0, 8, 10, 21, 34, 52, 61, 62, 71, 75, 79, 99, 100],
+    "gnp129": [2, 11, 20, 21, 23, 27, 28, 31, 33, 36, 40, 59, 62, 64, 68, 83,
+        84, 85, 88, 93, 96, 102, 103, 107, 118],
+    "sbm132": [1, 5, 7, 14, 16, 17, 19, 25, 27, 29, 31, 34, 37, 40, 46, 59, 71,
+        73, 81, 85, 101, 107, 109, 114, 119, 129],
+}
+PINNED_WIDE_BALANCED = {
+    "gnp8": [[1], [6], [3, 6]],
+    "sbm3x": [[2, 11, 18], [1, 7, 17], [1, 5, 9, 11, 14, 19]],
+    "gnp30": [[7], [1, 4, 7], None],
+    "sbm4dis": [[0, 14, 25, 31], [0, 14, 25, 31], None],
+    "gnp64": [[3], [1, 8, 11, 13, 25, 35, 46, 51], None],
+    "sbm67": [[5, 29, 64], [2, 4, 29, 36, 39, 45, 55], None],
+    "gnp90": [[3], [9, 12, 17, 25, 38, 54, 58, 62, 70, 72, 86], [4, 5, 7, 8,
+        12, 13, 15, 16, 17, 19, 21, 24, 25, 27, 37, 38, 45, 49, 50, 51, 58, 60,
+        62, 64, 70, 71, 75, 80, 81, 84]],
+    "sbm110": [[7, 23, 59, 83, 101], [10, 16, 23, 40, 43, 47, 61, 75, 79, 96,
+        99], None],
+    "gnp129": [[38], [4, 5, 30, 39, 46, 52, 54, 59, 62, 68, 87, 91, 92, 114,
+        119, 122], None],
+    "sbm132": [[51, 117], [2, 13, 17, 27, 50, 56, 57, 62, 67, 75, 95, 101, 107,
+        114, 126, 129], None],
+}
+
+
+class TestPinnedWideSearchOutputs:
+    @pytest.mark.parametrize("name", sorted(WIDE_CASES))
+    def test_heuristic_alpha_h(self, name):
+        m, gs = WIDE_CASES[name]
+        g = sample_sbm(m, gs)
+        res = alpha_h(m, g, "heuristic", seed=gs + 1)
+        assert sorted(res.best_set) == PINNED_WIDE_ALPHA_H[name]
+
+    @pytest.mark.parametrize("name", sorted(WIDE_CASES))
+    def test_balanced(self, name):
+        m, gs = WIDE_CASES[name]
+        g = sample_sbm(m, gs)
+        sizes = g.block_sizes()
+        targets = [np.ones(g.k, dtype=np.int64), np.maximum(sizes // 8, 1),
+                   sizes // 3]
+        got = []
+        for i, tgt in enumerate(targets):
+            found = find_balanced_independent_set(
+                m, g, BlockVector(tgt, integer=True), seed=gs + 2 + i)
+            got.append(None if found is None else sorted(found))
+        assert got == PINNED_WIDE_BALANCED[name]
+
+
 class TestAdjacencyMatrix:
+    """The adjacency matrix is stored once, as packed rows: the neighbour
+    bitsets."""
+
     @pytest.mark.parametrize("g", [
         sample_sbm(ModelInstance(BlockVector.integral([10] * 5),
                                  ProbMatrix(P_MIXED)), 3),
@@ -606,11 +700,6 @@ class TestAdjacencyMatrix:
         sample_sbm(ModelInstance.gnp(9, 0.6), 2),    # rows past one byte
     ])
     def test_matches_bitsets(self, g):
-        mat = g.adjacency_matrix()
-        bits = [[(row >> v) & 1 for v in range(g.n)] for row in g.adjacency_bits()]
-        assert mat.shape == (g.n, g.n)
-        assert mat.dtype == np.float64
-        assert mat.tolist() == [[float(b) for b in row] for row in bits]
         by_edge = [0] * g.n  # the bitsets built edge by edge
         for u, v in g.edges.tolist():
             by_edge[u] |= 1 << v
@@ -619,11 +708,11 @@ class TestAdjacencyMatrix:
         assert all(type(b) is int for b in g.adjacency_bits())
 
     def test_cached_and_read_only(self):
-        mat = PETERSEN.adjacency_matrix()
-        assert PETERSEN.adjacency_matrix() is mat
-        assert PETERSEN.adjacency_bits() is PETERSEN.adjacency_bits()
+        bits = PETERSEN.adjacency_bits()
+        assert PETERSEN.adjacency_bits() is bits
+        # the edges the cache is packed from cannot change under it
         with pytest.raises(ValueError):
-            mat[0, 0] = 1.0
+            PETERSEN.edges[0, 0] = 1
 
 
 class TestCheckProper:

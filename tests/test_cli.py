@@ -191,3 +191,23 @@ class TestExperimentCommand:
                           "--out", str(plot))
         assert code == 0
         assert plot.read_text().splitlines()[0] == "replicate\tchi_dsatur"
+
+    def test_invalid_config_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"kind": "gnp", "n": 12, "p": 0.5},
+            "replicates": 1, "base_seed": 4, "bogus": 1}))
+        assert main(["experiment", "--config", str(cfg),
+                     "--out", str(tmp_path / "rep.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown config keys ['bogus']\n")
+
+    def test_union_of_non_block_parts_is_an_error(self, tmp_path, capsys):
+        part = {"kind": "chunglu-times", "u": [0.5] * 6, "p": 0.4}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"kind": "union-sbm", "of": [part, part]},
+            "replicates": 1, "base_seed": 4}))
+        assert main(["experiment", "--config", str(cfg),
+                     "--out", str(tmp_path / "rep.csv")]) == 2
+        assert "'chunglu-times'" in capsys.readouterr().err

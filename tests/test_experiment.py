@@ -226,6 +226,35 @@ class TestRunExperiment:
         assert [(r.point, r.replicate) for r in rows] == [
             (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
+    def test_list_sweep_keeps_the_field_count(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(base_config(
+            model={"kind": "sbm", "sizes": [4, 4],
+                   "P": [[0.2, 0.6], [0.6, 0.3]]},
+            sweep=[{"param": "sizes", "values": [[4, 4], [5, 3]]}]))
+        out = tmp_path / "r.csv"
+        run_experiment(cfg, str(out))
+        lines = [ln for ln in out.read_text().splitlines()
+                 if not ln.startswith("#")]
+        header = lines[0].split(",")
+        assert {len(ln.split(",")) for ln in lines} == {len(header)}
+        col = header.index("param_sizes")
+        assert [ln.split(",")[col] for ln in lines[1:]] == [
+            "[4;4]", "[4;4]", "[5;3]", "[5;3]"]
+        summary = json.loads((tmp_path / "r.csv.summary.json").read_text())
+        assert [pt["params"]["sizes"] for pt in summary["points"]] == [
+            [4, 4], [5, 3]]
+        plot = tmp_path / "plot.tsv"
+        emit_plotdata(str(out), "param_sizes", "chi_dsatur", str(plot))
+        assert [ln.split("\t")[0] for ln in plot.read_text().splitlines()
+                ] == ["param_sizes", "[4;4]", "[4;4]", "[5;3]", "[5;3]"]
+
+    def test_union_of_non_block_parts_is_a_model_error(self, tmp_path):
+        part = {"kind": "chunglu-times", "u": [0.5] * 6, "p": 0.4}
+        cfg = ExperimentConfig.from_dict(base_config(
+            model={"kind": "union-sbm", "of": [part, part]}))
+        with pytest.raises(ModelError, match="'chunglu-times'"):
+            run_experiment(cfg, str(tmp_path / "r.csv"))
+
     def test_union_and_blowup_kinds_run(self, tmp_path):
         cfg = ExperimentConfig.from_dict({
             "model": {"kind": "union-sbm", "of": [

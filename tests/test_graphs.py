@@ -157,6 +157,9 @@ class TestSbmGraph:
         g = SbmGraph(3, [0] * 3, [(0, 2)], k=1)
         assert g.has_edge(0, 2) and g.has_edge(2, 0)
         assert not g.has_edge(0, 1) and not g.has_edge(1, 1)
+        for u, v in [(-1, 0), (0, -1), (0, 3), (3, 0)]:
+            with pytest.raises(ModelError, match="vertex index out of range"):
+                g.has_edge(u, v)
 
     @pytest.mark.parametrize("vertices", [[-1, 2], [0, 4], {5}])
     def test_vertex_subsets_out_of_range(self, vertices):
