@@ -11,6 +11,14 @@ from setuptools.command.build_ext import build_ext
 class OptionalBuildExt(build_ext):
     """A failed compile leaves the pure-Python kernels in place."""
 
+    def build_extensions(self):
+        # no fused multiply-add: the kernels' bounds must round like the
+        # pure-Python ones, or the two backends prune differently
+        if self.compiler.compiler_type == "unix":
+            for ext in self.extensions:
+                ext.extra_compile_args.append("-ffp-contract=off")
+        super().build_extensions()
+
     def run(self):
         try:
             super().run()

@@ -371,9 +371,33 @@ static int wis(Wis *s, double fsum, int size, u64 cand, u64 member_mask)
 {
     if (++s->nodes > s->limit)
         return 0;
-    int total = size + __builtin_popcountll(cand);
-    if (total >= 1 && (total - 1) * s->maxw / 2.0 <= s->best_h)
+    /* b(c) = (fsum + c*(size + (c-1)/2)*maxw) / (size + c) bounds h of the
+     * set plus any c candidates, and so does the all-maxw bound
+     * (size + c - 1)*maxw/2; the same expressions as _kernels_py. */
+    double inc = s->best_h;
+    int c = __builtin_popcountll(cand);
+    int total = size + c;
+    if ((fsum + c * (size + (c - 1) / 2.0) * s->maxw) / total <= inc
+            || (total - 1) * s->maxw / 2.0 <= inc)
         return 1;  /* no set in this subtree strictly beats the incumbent */
+    /* A greedy clique cover of cand: an independent set meets each of its
+     * r classes at most once, so b(r) bounds the subtree too. */
+    int r = 0;
+    u64 rest = cand;
+    while (rest) {
+        r++;
+        if ((fsum + r * (size + (r - 1) / 2.0) * s->maxw) / (size + r) > inc)
+            break;
+        u64 low = rest & -rest;
+        rest ^= low;
+        for (u64 grow = rest & s->adj[__builtin_ctzll(low)]; grow; ) {
+            low = grow & -grow;
+            rest ^= low;
+            grow &= s->adj[__builtin_ctzll(low)];
+        }
+    }
+    if (rest == 0)
+        return 1;
     for (u64 m = cand; m; ) {
         int v = __builtin_ctzll(m);
         u64 vbit = m & -m;

@@ -11,7 +11,11 @@ over the vertices.
 
 Kernels:
   exact_coloring                 DSATUR-style branch and bound for chi(G)
-  best_weighted_independent_set  branch and bound maximizing pair-weight/size
+  best_weighted_independent_set  branch and bound maximizing pair-weight/size,
+                                 pruned by a weighted bound on a greedy
+                                 clique cover of the candidates (the
+                                 colouring bound of max-clique search, on
+                                 the complement)
 """
 
 from __future__ import annotations
@@ -235,9 +239,35 @@ def best_weighted_independent_set(n: int, adj: list[int], weights,
         state[0] += 1
         if state[0] > state[1]:
             return False
-        total = size + cand.bit_count()
-        if total >= 1 and (total - 1) * maxw / 2.0 <= best[0]:
+        # b(s) = (fsum + s*(size + (s-1)/2)*maxw) / (size + s) bounds h of
+        # U plus any s candidates, since each new pair weighs at most maxw,
+        # and it is non-decreasing in s.  In exact arithmetic it never
+        # exceeds the all-maxw bound (size + s - 1)*maxw/2; testing that one
+        # too keeps all of its prunes under rounding, so no search visits
+        # more nodes than with it alone.
+        inc = best[0]
+        s = cand.bit_count()
+        total = size + s
+        if ((fsum + s * (size + (s - 1) / 2.0) * maxw) / total <= inc
+                or (total - 1) * maxw / 2.0 <= inc):
             # no set in this subtree can strictly beat the incumbent
+            return True
+        # A greedy clique cover of cand: an independent set meets each of
+        # its r classes at most once, so b(r) bounds the subtree too.
+        r = 0
+        rest = cand
+        while rest:
+            r += 1
+            if (fsum + r * (size + (r - 1) / 2.0) * maxw) / (size + r) > inc:
+                break
+            low = rest & -rest
+            rest ^= low
+            grow = rest & adj[low.bit_length() - 1]
+            while grow:
+                low = grow & -grow
+                rest ^= low
+                grow &= adj[low.bit_length() - 1]
+        else:
             return True
         m = cand
         while m:

@@ -331,9 +331,13 @@ def alpha_h(m: ModelInstance, g: SbmGraph, mode: str = "exact",
             seed: int = 0) -> WeightedIndepResult:
     """Weighted independence number: maximise h(U) over independent sets.
 
-    "exact" enumerates independent sets by branch and bound with the
-    pruning bound h(U) <= (|U|-1) max_q / 2, and raises GuardError past 1e7
-    nodes or n > 512.  "heuristic" is the seeded ruin-and-recreate local
+    "exact" enumerates independent sets by branch and bound, and raises
+    GuardError past 1e7 nodes or n > 512.  A branch that extends the set S
+    (pair weight F) by at most r more vertices is pruned when
+    (F + r (|S| + (r-1)/2) max_q) / (|S| + r) cannot beat the best h so far;
+    r is the number of candidates or, tighter, the number of classes of a
+    greedy clique cover of them, since an independent set takes at most one
+    vertex of a clique.  "heuristic" is the seeded ruin-and-recreate local
     search alone.  "exact-first" runs the branch and bound under a budget of
     1e5 nodes and returns its proven maximum when it finishes; otherwise it
     runs the local search and returns whichever of its set and the

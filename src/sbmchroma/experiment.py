@@ -488,7 +488,9 @@ def emit_plotdata(report_path: str, x: str, y: str, out_path: str,
                   group: Optional[str] = None) -> None:
     """Two-column (plus optional group key) plot table from a report CSV.
 
-    Rows sort by x (numeric when possible), then group; no rendering here.
+    Rows with a numeric x come first, by value; the other rows (blank or
+    text cells) follow, by string; the group breaks ties.  No rendering
+    here.
     """
     with open(report_path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
@@ -502,11 +504,14 @@ def emit_plotdata(report_path: str, x: str, y: str, out_path: str,
     gi = header.index(group) if group else None
 
     def sort_key(rec: list[str]):
+        group_key = rec[gi] if gi is not None else ""
         try:
-            xv: object = float(rec[xi])
+            xv = float(rec[xi])
         except ValueError:
-            xv = rec[xi]
-        return (xv, rec[gi] if gi is not None else "")
+            xv = math.nan
+        if math.isnan(xv):  # blank, text or "nan": after the numbers
+            return (1, 0.0, rec[xi], group_key)
+        return (0, xv, "", group_key)
 
     body = [ln.split(",") for ln in lines[1:] if ln]
     body.sort(key=sort_key)

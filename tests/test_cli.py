@@ -192,6 +192,15 @@ class TestExperimentCommand:
         assert code == 0
         assert plot.read_text().splitlines()[0] == "replicate\tchi_dsatur"
 
+    def test_plotdata_with_blank_x_cells(self, tmp_path, capsys):
+        report = tmp_path / "rep.csv"
+        report.write_text("a,b\n1,2\n,3\n2,4\n")
+        plot = tmp_path / "plot.tsv"
+        code, info = run_cli(capsys, "plotdata", "--report", str(report),
+                             "--x", "a", "--y", "b", "--out", str(plot))
+        assert code == 0 and info == {"written": str(plot)}
+        assert plot.read_text() == "a\tb\n1\t2\n2\t4\n\t3\n"
+
     def test_invalid_config_is_an_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -364,9 +364,10 @@ class TestRunExperiment:
 
     def test_exact_alpha_h_mode_keeps_its_node_cap(self, tmp_path,
                                                    monkeypatch):
-        # G(62, 0.08) has far more independent sets than 1e7 nodes reach;
-        # the default mode falls back to the local search instead.  A lower
-        # cap reaches the same guard in a fraction of the shipped one's time
+        # the search on this G(62, 0.08) graph takes 128,923 nodes: past
+        # the lowered cap of 1e5 and the default mode's budget of 1e5, so
+        # exact mode reaches the guard and the default mode falls back to
+        # the local search (it finishes under the shipped cap of 1e7)
         assert chromatic._ALPHA_ENUM_GUARD == 10 ** 7
         monkeypatch.setattr(chromatic, "_ALPHA_ENUM_GUARD", 10 ** 5)
         base = base_config(model={"kind": "gnp", "n": 62, "p": 0.08},
@@ -615,3 +616,20 @@ class TestEmitPlotdata:
         dst = tmp_path / "out.tsv"
         emit_plotdata(str(src), "a", "c", str(dst))
         assert dst.read_text() == "a\tc\n"
+
+    def test_blank_x_cells_sort_after_numbers(self, tmp_path):
+        # a report leaves a cell blank where a row has no value (chi_exact
+        # on an exact_budget row, alpha_h on a guard row)
+        src = tmp_path / "r.csv"
+        src.write_text("a,b\n1,2\n,3\n2,4\n")
+        dst = tmp_path / "out.tsv"
+        emit_plotdata(str(src), "a", "b", str(dst))
+        assert dst.read_text() == "a\tb\n1\t2\n2\t4\n\t3\n"
+
+    def test_numbers_by_value_then_text_then_group(self, tmp_path):
+        src = tmp_path / "r.csv"
+        src.write_text("a,b,g\n10,1,y\nx,2,b\n9,3,z\n,4,a\n10,5,x\n")
+        dst = tmp_path / "out.tsv"
+        emit_plotdata(str(src), "a", "b", str(dst), group="g")
+        assert dst.read_text().splitlines()[1:] == [
+            "9\t3\tz", "10\t5\tx", "10\t1\ty", "\t4\ta", "x\t2\tb"]

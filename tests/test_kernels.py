@@ -22,7 +22,7 @@ def kcy(tmp_path_factory):
     """The compiled kernels, built from _kernels_c.c into a temporary
     directory and imported from there, so that parity runs wherever a C
     compiler exists, installed extension or not.  With gcc or clang every
-    warning is an error."""
+    warning is an error, and, as in setup.py, no multiply-add is fused."""
     compiler = (os.environ.get("CC") or sysconfig.get_config_var("CC")
                 or "cc").split()[0]
     if shutil.which(compiler) is None:
@@ -32,7 +32,8 @@ def kcy(tmp_path_factory):
     out = tmp_path_factory.mktemp("kernels_c")
     strict = any(name in Path(compiler).name for name in ("gcc", "clang"))
     ext = Extension("sbmchroma._kernels_c", [str(SRC / "_kernels_c.c")],
-                    extra_compile_args=(["-Wall", "-Wextra", "-Werror"]
+                    extra_compile_args=(["-Wall", "-Wextra", "-Werror",
+                                         "-ffp-contract=off"]
                                         if strict else []))
     build = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
     build.build_lib, build.build_temp = str(out), str(out / "tmp")
@@ -72,6 +73,21 @@ def random_weights(rng, n):
     w = (w + w.T) / 2
     np.fill_diagonal(w, 0.0)
     return [float(v) for v in w.ravel()]
+
+
+def block_weights(rng, n):
+    """Block-constant weights -ln(1 - P_ab) of a random SBM with 1 to 5
+    blocks, diagonal included, as alpha_h passes them."""
+    k = int(rng.integers(1, 6))
+    block_of = rng.integers(0, k, n)
+    probs = rng.uniform(0.05, 0.9, (k, k))
+    q = -np.log1p(-(probs + probs.T) / 2)
+    return [float(v) for v in q[np.ix_(block_of, block_of)].ravel()]
+
+
+def equal_weights(n, p):
+    """G(n, p)'s weights: every entry -ln(1 - p), so ties are exact."""
+    return [float(-np.log1p(-p))] * (n * n)
 
 
 class TestBackendParity:
@@ -122,6 +138,24 @@ class TestBackendParity:
             # must agree too
             assert (kpy.best_weighted_independent_set(n, adj, flat, 10 ** 5)
                     == kcy.best_weighted_independent_set(n, adj, flat, 10 ** 5)), n
+
+    @pytest.mark.parametrize("kind", ["block", "equal"])
+    def test_weighted_independent_set_identical_sbm_and_gnp_weights(
+            self, kcy, kind):
+        # the weights the bound is tight on: ties between sets are exact
+        # with equal weights, and with block-constant ones they recur
+        rng = np.random.default_rng(12 if kind == "block" else 13)
+        hit = 0
+        for n in [*range(20, 41), 63, 64]:
+            p = float(rng.uniform(0.05, 0.6))
+            adj = random_adj(rng, n, p)
+            flat = (block_weights(rng, n) if kind == "block"
+                    else equal_weights(n, p))
+            got = kpy.best_weighted_independent_set(n, adj, flat, 10 ** 4)
+            assert got == kcy.best_weighted_independent_set(
+                n, adj, flat, 10 ** 4), n
+            hit += got[0] == kernels.BUDGET_EXCEEDED
+        assert hit >= 1  # the partial results agree too
 
     @pytest.mark.parametrize("n", [65, 127, 128, 129, 200, 512])
     def test_exact_coloring_identical_multi_word(self, kcy, n):
@@ -409,3 +443,125 @@ class TestBitsetDsaturMatchesLoopReference:
         adj = [0b00010, 0b00101, 0b01010, 0b10100, 0b01000]
         assert kpy.dsatur_greedy(5, adj, [0] * 5) == (2, [1, 0, 1, 0, 1])
         assert kpy.dsatur_greedy(5, adj, [1, 1, 0, 1, 1]) == (2, [0, 1, 0, 1, 0])
+
+
+# Loop-based reference for the weighted independent-set search: the search
+# with the all-maxw prune (|U| + |cand| - 1) * maxw / 2 alone, as it was
+# before the weighted bound and the clique cover.  The kernels branch in the
+# same order and sum the weights in the same order, so where the reference
+# finishes they must return its result, in no more nodes.
+
+def ref_best_weighted_independent_set(n, adj, weights, node_limit):
+    maxw = max(weights) if n > 1 else 0.0
+    best = [0.0, 1]
+    nodes = [0]
+    members = []
+
+    def rec(fsum, cand):
+        nodes[0] += 1
+        if nodes[0] > node_limit:
+            return False
+        total = len(members) + bin(cand).count("1")
+        if (total - 1) * maxw / 2.0 <= best[0]:
+            return True
+        for v in range(n):
+            if not (cand >> v) & 1:
+                continue
+            add = 0.0
+            for u in members:
+                add += weights[v * n + u]
+            fv = fsum + add
+            h = fv / (len(members) + 1)
+            if h > best[0]:
+                best[0] = h
+                best[1] = sum(1 << u for u in members) | (1 << v)
+            later = cand >> (v + 1) << (v + 1)
+            members.append(v)
+            done = rec(fv, later & ~adj[v])
+            members.pop()
+            if not done:
+                return False
+        return True
+
+    status = kernels.OK if rec(0.0, (1 << n) - 1) else kernels.BUDGET_EXCEEDED
+    return status, best[0], best[1], nodes[0]
+
+
+def brute_force_weighted_alpha(n, adj, weights):
+    """max over nonempty independent U of (pair weight in U) / |U|, over
+    every vertex subset."""
+    fsum = [0.0] * (1 << n)
+    indep = [True] * (1 << n)
+    best = 0.0
+    for mask in range(1, 1 << n):
+        v = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        indep[mask] = indep[rest] and not adj[v] & rest
+        if indep[mask]:
+            fsum[mask] = fsum[rest] + sum(weights[v * n + u] for u in range(n)
+                                          if rest >> u & 1)
+            best = max(best, fsum[mask] / mask.bit_count())
+    return best
+
+
+def three_kinds_of_weights(rng, i, n, p):
+    """Equal, block-constant and random weights, by turns."""
+    if i % 3 == 0:
+        return equal_weights(n, p)
+    return block_weights(rng, n) if i % 3 == 1 else random_weights(rng, n)
+
+
+_REF_LIMIT = 2 * 10 ** 4
+
+
+@pytest.fixture(scope="module")
+def weighted_instances():
+    """300 seeded instances, n = 1-40, with the reference's result under a
+    limit of 2e4 nodes, which some of them run out of."""
+    rng = np.random.default_rng(12)
+    out = []
+    for i in range(300):
+        n, p = int(rng.integers(1, 41)), float(rng.uniform(0.1, 0.9))
+        adj = random_adj(rng, n, p)
+        flat = three_kinds_of_weights(rng, i, n, p)
+        out.append((n, adj, flat,
+                    ref_best_weighted_independent_set(n, adj, flat, _REF_LIMIT)))
+    return out
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+class TestWeightedBoundMatchesLoopReference:
+    @pytest.fixture
+    def kernel(self, request, backend):
+        return request.getfixturevalue("kcy") if backend == "compiled" else kpy
+
+    def test_same_result_in_no_more_nodes(self, kernel, weighted_instances):
+        outcomes = Counter()
+        for n, adj, flat, ref in weighted_instances:
+            got = kernel.best_weighted_independent_set(n, adj, flat, _REF_LIMIT)
+            assert got[3] <= ref[3], n
+            if ref[0] == kernels.OK:
+                assert got[:3] == ref[:3], n
+            else:
+                # the same incumbents in the same order, each reached in no
+                # more nodes: at the limit, one at least as good
+                assert got[1] >= ref[1], n
+            outcomes[ref[0], got[3] < ref[3]] += 1
+        assert outcomes[kernels.OK, True] >= 150
+        assert outcomes[kernels.BUDGET_EXCEEDED, True] >= 1
+
+    def test_brute_force_up_to_14_vertices(self, kernel):
+        rng = np.random.default_rng(13)
+        for i in range(150):
+            n, p = int(rng.integers(1, 15)), float(rng.uniform(0.1, 0.9))
+            adj = random_adj(rng, n, p)
+            flat = three_kinds_of_weights(rng, i, n, p)
+            status, value, mask, _ = kernel.best_weighted_independent_set(
+                n, adj, flat, 10 ** 7)
+            assert status == kernels.OK
+            assert value == pytest.approx(
+                brute_force_weighted_alpha(n, adj, flat), rel=1e-12, abs=1e-12)
+            members = [v for v in range(n) if mask >> v & 1]
+            assert members and not any(adj[v] & mask for v in members)
+            pairs = sum(flat[u * n + v] for u in members for v in members if u < v)
+            assert pairs / len(members) == pytest.approx(value, rel=1e-12, abs=1e-12)
