@@ -20,8 +20,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import _kernels_py, kernels
-from .functionals import (Decomposition, GuardError,
-                          near_optimal_integer_system, w_value)
+from .functionals import (Decomposition, GuardError, _w_batch,
+                          near_optimal_integer_system)
 from .graphs import SbmGraph
 from .model import BlockVector, ModelError, ModelInstance
 from .seeds import derive_seed, rng_from_seed
@@ -417,10 +417,10 @@ def _refill(adj: list[int], block_bits: list[int], block_of: np.ndarray,
             addable &= ~block_bits[b]
 
 
-def _ruin(adj: list[int], ind: np.ndarray, rng) -> int:
+def _ruin(adj: list[int], ind: np.ndarray, universe: int, rng) -> int:
     """Remove a random 40 % of the members of `ind` (at least one), in
-    place; returns the bitset of vertices outside what is left that have
-    no neighbour in it."""
+    place; returns the bitset of vertices of `universe` outside what is
+    left that have no neighbour in it."""
     members = np.nonzero(ind > 0.0)[0]
     if members.size:
         kill = rng.choice(members, size=max(1, int(0.4 * members.size)),
@@ -429,7 +429,7 @@ def _ruin(adj: list[int], ind: np.ndarray, rng) -> int:
     taken = 0
     for v in np.nonzero(ind > 0.0)[0].tolist():
         taken |= adj[v] | 1 << v
-    return ((1 << ind.size) - 1) & ~taken
+    return universe & ~taken
 
 
 def _alpha_h_local_search(m: ModelInstance, g: SbmGraph, seed: int,
@@ -486,7 +486,7 @@ def _alpha_h_local_search(m: ModelInstance, g: SbmGraph, seed: int,
         cur_h = h_of(cur)
         for _ in range(iters):
             ind = cur.copy()
-            free = _ruin(adj, ind, rng)
+            free = _ruin(adj, ind, (1 << n) - 1, rng)
             _refill(adj, bbits, g.block_of, ind, free, g.block_sizes(), rng)
             consider(ind)
             consider(drop_pass(ind.copy()))
@@ -500,16 +500,17 @@ def _alpha_h_local_search(m: ModelInstance, g: SbmGraph, seed: int,
 # ---------------------------------------------------------------------------
 
 def _profile_feasible(adj: list[int], block_of: list[int], need: list[int],
-                      limit: int) -> Optional[bool]:
-    """Whether some independent set has exactly `need[b]` vertices in each
-    block b: True or False once a branch and bound settles it, None when it
-    runs past `limit` nodes.
+                      limit: int, within: int = -1) -> Optional[bool]:
+    """Whether some independent set inside the vertex bitset `within` (all
+    vertices by default) has exactly `need[b]` vertices in each block b:
+    True or False once a branch and bound settles it, None when it runs
+    past `limit` nodes.
 
-    The candidates are the vertices of blocks still below target that no
-    chosen vertex sees.  A branch dies when a block has fewer candidates
-    than it still needs; otherwise it branches on the block with the least
-    slack, taking that block's candidates lowest index first.  `need` is
-    restored before returning.
+    The candidates are the vertices of `within` in blocks still below
+    target that no chosen vertex sees.  A branch dies when a block has
+    fewer candidates than it still needs; otherwise it branches on the
+    block with the least slack, taking that block's candidates lowest index
+    first.  `need` is restored before returning.
     """
     bmask = _block_bits(block_of, len(need))
     nodes = 0
@@ -544,40 +545,41 @@ def _profile_feasible(adj: list[int], block_of: list[int], need: list[int],
                 return found
         return False
 
-    found = rec(sum(mask for mask, k in zip(bmask, need) if k))
+    found = rec(within & sum(mask for mask, k in zip(bmask, need) if k))
     del rec  # rec refers to itself through its closure cell
     return found
 
 
-def find_balanced_independent_set(m: ModelInstance, g_remaining: SbmGraph,
+def find_balanced_independent_set(g: SbmGraph, vertices: Iterable[int],
                                   target: BlockVector, seed: int = 0,
                                   effort: int = 8) -> Optional[frozenset[int]]:
-    """Independent set whose per-block counts equal `target` exactly, or None.
+    """Independent set of g inside `vertices` whose per-block counts equal
+    `target` exactly, or None.  It runs on g's neighbour bitsets restricted
+    to `vertices`, and gives g.subgraph(vertices)'s result in g's indices.
 
     Returns None at once when an exact check (`_profile_feasible`, at most
     `_PROFILE_CHECK_NODES` nodes) proves the profile impossible.  Otherwise
     seeded ruin-and-recreate: adaptive randomized greedy fills restricted
     to blocks still below target, partial teardown and refill while the
-    unmet demand does not grow.  Up to `effort` restarts; the model
-    argument is part of the call contract, feasibility only depends on the
-    graph.
+    unmet demand does not grow.  Up to `effort` (>= 1) restarts.
     """
-    del m  # feasibility is purely graph-side
-    g = g_remaining
+    if effort < 1:
+        raise ValueError("effort must be >= 1")
     if not target.is_integer:
         raise ModelError("target must be an integer block profile")
     tgt = np.asarray(target.as_ints(), dtype=np.int64)
     if tgt.size != g.k:
         raise ModelError("target dimension does not match the graph")
-    if np.any(tgt > g.block_sizes()):
+    inside = {int(v) for v in vertices}
+    if np.any(tgt > g.b_vector(inside)):  # ModelError for a vertex outside g
         raise ModelError("target exceeds remaining block counts")
     if tgt.sum() == 0:
         return frozenset()
+    within = sum(1 << v for v in inside)
     adj = g.adjacency_bits()
     if _profile_feasible(adj, g.block_of.tolist(), tgt.tolist(),
-                         _PROFILE_CHECK_NODES) is False:
+                         _PROFILE_CHECK_NODES, within) is False:
         return None
-    n = g.n
     blocks = g.block_of
     bbits = _block_bits(blocks.tolist(), g.k)
 
@@ -590,15 +592,15 @@ def find_balanced_independent_set(m: ModelInstance, g_remaining: SbmGraph,
     iters = 12
     for attempt in range(effort):
         rng = rng_from_seed(derive_seed(seed, attempt))
-        ind = np.zeros(n)
-        _refill(adj, bbits, blocks, ind, (1 << n) - 1, tgt.copy(), rng)
+        ind = np.zeros(g.n)
+        _refill(adj, bbits, blocks, ind, within, tgt.copy(), rng)
         cur = ind.copy()
         cur_def = deficit(cur)
         for _ in range(iters):
             if cur_def == 0:
                 break
             ind = cur.copy()
-            free = _ruin(adj, ind, rng)
+            free = _ruin(adj, ind, within, rng)
             _refill(adj, bbits, blocks, ind, free, room(ind), rng)
             new_def = deficit(ind)
             if new_def <= cur_def:  # accept ties to keep wandering
@@ -622,6 +624,9 @@ def balanced_extraction_colouring(m: ModelInstance, g: SbmGraph,
        0.8 on failure (down to singletons, which always succeed);
     3. colour whatever remains with DSATUR.
 
+    w(n_rem) is the one-row _w_batch value.  Step 2 searches g's own
+    bitsets, so step 3's is the only subgraph built.
+
     `system` is the integer system of step 1.  It depends on the model
     only, so graphs sampled from one model can share it; its target must
     equal g.size_vector().  None computes it here with
@@ -644,25 +649,20 @@ def balanced_extraction_colouring(m: ModelInstance, g: SbmGraph,
     if system is None:
         system = near_optimal_integer_system(sizes, q, seed=derive_seed(seed, 0))
 
-    by_block = [list(np.nonzero(g.block_of == b)[0]) for b in range(k)]
-    offsets = [0] * k
-    part_vertices: list[list[int]] = []
-    for part in system.parts:
-        vs: list[int] = []
-        for b in range(k):
-            c = int(part.values[b])
-            vs.extend(int(v) for v in by_block[b][offsets[b]:offsets[b] + c])
-            offsets[b] += c
-        part_vertices.append(vs)
-
+    # part t takes the next part.values[b] vertices of each block b
+    by_block = [np.flatnonzero(g.block_of == b) for b in range(k)]
+    cuts = np.cumsum([np.zeros(k)] + [p.values for p in system.parts],
+                     axis=0).astype(np.int64)
     call = 1
-    for vs in part_vertices:
-        remaining = set(vs)
-        part_norm = float(len(vs))
+    for lo, hi in zip(cuts, cuts[1:]):
+        remaining = {int(v) for b in range(k)
+                     for v in by_block[b][lo[b]:hi[b]]}
+        part_norm = float(len(remaining))
         while remaining:
             rem_counts = g.b_vector(remaining)
             rem_total = int(rem_counts.sum())
-            wj = w_value(BlockVector(rem_counts, integer=True), q).value
+            wj = float(_w_batch(rem_counts[None].astype(np.float64),
+                                q.entries)[0])
             if wj <= 1.0:
                 break  # nu would be nonpositive; leave the rest to DSATUR
             nu = (2.0 - epsilon) * math.log(wj) / wj
@@ -672,11 +672,9 @@ def balanced_extraction_colouring(m: ModelInstance, g: SbmGraph,
             if target.sum() == 0:
                 break
             requested = int(target.sum())
-            sub, mapping = g.subgraph(sorted(remaining))
-            found = None
-            while target.sum() > 0:
+            while True:  # every target here has a positive sum
                 found = find_balanced_independent_set(
-                    m, sub, BlockVector(target, integer=True),
+                    g, remaining, BlockVector(target, integer=True),
                     seed=derive_seed(seed, call), effort=effort)
                 call += 1
                 if found is not None:
@@ -688,24 +686,21 @@ def balanced_extraction_colouring(m: ModelInstance, g: SbmGraph,
                     if np.array_equal(degraded, target):
                         break
                 target = degraded
-            if found is None or not found:
+            if not found:
                 break
             if len(found) < max(3.0, 0.5 * requested) and len(found) < rem_total:
                 break  # independent structure exhausted; DSATUR packs the
                        # dense remainder better than forced tiny classes
-            members = [mapping[i] for i in found]
-            for v in members:
+            for v in found:
                 colour_of[v] = next_colour
                 remaining.discard(v)
             next_colour += 1
 
-    leftovers = [v for v in range(g.n) if colour_of[v] < 0]
-    if leftovers:
+    leftovers = np.flatnonzero(colour_of < 0)
+    if leftovers.size:
         sub, mapping = g.subgraph(leftovers)
         fill = dsatur_colouring(sub, seed=derive_seed(seed, 999_999))
-        for i, v in enumerate(mapping):
-            colour_of[v] = next_colour + int(fill.colour_of[i])
-        next_colour += fill.num_colours
+        colour_of[mapping] = next_colour + fill.colour_of
 
     col = _canonical_colouring(colour_of.tolist(), "extraction")
     col.check_proper(g)

@@ -113,6 +113,8 @@ class ExperimentConfig:
             raise ConfigError("epsilon must lie in (0, 1)")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.extraction_effort < 1:
+            raise ConfigError("extraction_effort must be >= 1")
 
     # --- grid handling ------------------------------------------------------
 

@@ -111,54 +111,6 @@ def _chunk_masks(k: int, lo: int, hi: int) -> np.ndarray:
     return bits.astype(np.float64)
 
 
-def _corner_scan(x: np.ndarray, qm: np.ndarray):
-    """Yield (corner_values, corner_vectors) arrays chunk by chunk."""
-    k = x.size
-    if k <= _CHUNK_BITS:
-        chunks = [_corner_masks(k)]
-    else:  # one chunk at a time: all of them at k = 30 would take 257 GB
-        step = 1 << _CHUNK_BITS
-        chunks = (_chunk_masks(k, lo, lo + step) for lo in range(0, 1 << k, step))
-    for masks in chunks:
-        z = masks * x
-        norms = z.sum(axis=1)
-        quad = ((z @ qm) * z).sum(axis=1)
-        vals = np.divide(quad, norms, out=np.zeros_like(quad), where=norms > 0.0)
-        yield vals, z
-
-
-def w_value(x: BlockVector, q: QMatrix) -> CornerSolution:
-    """Exact w(x, Q) by enumerating all 2^k corners of the box [0, x].
-
-    Ties are broken towards the support of smallest cardinality, then
-    lexicographically, so results are reproducible.
-    """
-    if x.k != q.k:
-        raise ModelError(f"dimension mismatch: x has k={x.k}, Q has k={q.k}")
-    if x.k > MAX_CORNER_K:
-        raise GuardError(f"corner enumeration refuses k={x.k} > {MAX_CORNER_K}; "
-                         "use w_value_sampled")
-    best_val = 0.0
-    best_key: tuple = (0, ())
-    best_z = np.zeros(x.k)
-    for vals, z in _corner_scan(x.values, q.entries):
-        vmax = float(vals.max())
-        tol = 1e-12 * max(1.0, abs(vmax), abs(best_val))
-        if vmax < best_val - tol:
-            continue
-        for idx in np.nonzero(vals >= max(vmax, best_val) - tol)[0]:
-            zi = z[idx]
-            supp = tuple(int(i) for i in np.nonzero(zi > 0.0)[0])
-            key = (len(supp), supp)
-            if vals[idx] > best_val + tol or (vals[idx] >= best_val - tol
-                                              and key < best_key):
-                best_val = float(vals[idx])
-                best_key = key
-                best_z = zi.copy()
-    return CornerSolution(value=best_val, support=best_key[1],
-                          maximizer=BlockVector(best_z, integer=x.is_integer))
-
-
 def _pair_masks(k: int) -> np.ndarray:
     """(k*k, 2^k) read-only table PM[(i, j), c] = mask_ci * mask_cj, so that
     the quadratic form of every corner of a row is one matrix product."""
@@ -172,26 +124,72 @@ def _pair_masks(k: int) -> np.ndarray:
     return pm
 
 
-def _w_batch(rows: np.ndarray, qm: np.ndarray) -> np.ndarray:
-    """w values for a batch of nonnegative vectors, one per row.
+def _corner_ratios(rows: np.ndarray, qm: np.ndarray):
+    """Yield (i, lo, vals): vals[r, c] is y^T Q y / ||y|| (0 when empty) at
+    corner lo + c (bit j keeps block j) of y = rows[i + r].  Up to
+    _FULL_SEARCH_MAX_K blocks that is one product with the cached pair table
+    for all rows; above, the table would be too large (134 MB at k = 16),
+    so each row scans its corners alone, 2^16 at a time."""
+    m, k = rows.shape
+    if k <= _FULL_SEARCH_MAX_K:
+        outer = rows[:, :, None] * rows[:, None, :] * qm[None, :, :]
+        quad = outer.reshape(m, k * k) @ _pair_masks(k)
+        norms = rows @ _corner_masks(k).T
+        yield 0, 0, np.divide(quad, norms, out=np.zeros_like(quad),
+                              where=norms > 0.0)
+        return
+    step = 1 << _CHUNK_BITS
+    for i, y in enumerate(rows):
+        for lo in range(0, 1 << k, step):
+            masks = (_corner_masks(k) if k <= _CHUNK_BITS
+                     else _chunk_masks(k, lo, lo + step))
+            z = masks * y
+            norms = z.sum(axis=1)
+            quad = ((z @ qm) * z).sum(axis=1)
+            yield i, lo, np.divide(quad, norms, out=np.zeros_like(quad),
+                                   where=norms > 0.0)[None]
 
-    Up to _FULL_SEARCH_MAX_K blocks every corner of every row comes from one
-    product with the cached pair table; above that a table would be too
-    large (134 MB at k = 16), so each row scans its corners in chunks.
-    """
+
+def _w_batch(rows: np.ndarray, qm: np.ndarray) -> np.ndarray:
+    """w values for a batch of nonnegative vectors, one per row: the
+    largest corner ratio of each row."""
     m, k = rows.shape
     if k > MAX_CORNER_K:
         raise GuardError(f"corner enumeration refuses k={k} > {MAX_CORNER_K}")
-    if m == 0:
-        return np.zeros(0)
-    if k > _FULL_SEARCH_MAX_K:
-        return np.array([max(float(vals.max()) for vals, _ in _corner_scan(y, qm))
-                         for y in rows])
-    outer = rows[:, :, None] * rows[:, None, :] * qm[None, :, :]
-    quad = outer.reshape(m, k * k) @ _pair_masks(k)
-    norms = rows @ _corner_masks(k).T
-    vals = np.divide(quad, norms, out=np.zeros_like(quad), where=norms > 0.0)
-    return vals.max(axis=1)
+    best = np.full(m, -np.inf)
+    for i, _, vals in _corner_ratios(rows, qm):
+        top = best[i:i + vals.shape[0]]
+        np.maximum(top, vals.max(axis=1), out=top)
+    return best
+
+
+def w_value(x: BlockVector, q: QMatrix) -> CornerSolution:
+    """Exact w(x, Q) by enumerating all 2^k corners of the box [0, x].
+
+    The value is the one-row _w_batch value, bit for bit; it can differ in
+    the last bit from the same row in a larger batch (the one-row gemv
+    FOUND note in CHANGES.md).  The maximizer is the corner of smallest,
+    then lexicographically first, support within 1e-12 of the value.
+    """
+    if x.k != q.k:
+        raise ModelError(f"dimension mismatch: x has k={x.k}, Q has k={q.k}")
+    if x.k > MAX_CORNER_K:
+        raise GuardError(f"corner enumeration refuses k={x.k} > {MAX_CORNER_K}; "
+                         "use w_value_sampled")
+    xv = x.values
+    best, near = -math.inf, []  # near: (ratio, (|support|, support))
+    for _, lo, vals in _corner_ratios(xv[None], q.entries):
+        best = max(best, float(vals.max()))
+        floor = best - 1e-12 * max(1.0, abs(best))
+        near = [c for c in near if c[0] >= floor]
+        for idx in np.flatnonzero(vals[0] >= floor).tolist():
+            supp = tuple(j for j in range(x.k)
+                         if (lo + idx) >> j & 1 and xv[j] > 0.0)
+            near.append((vals[0, idx], (len(supp), supp)))
+    support = min(key for _, key in near)[1]
+    z = np.where([j in support for j in range(x.k)], xv, 0.0)
+    return CornerSolution(value=best, support=support,
+                          maximizer=BlockVector(z, integer=x.is_integer))
 
 
 def _w_sum(parts: Sequence[np.ndarray], qm: np.ndarray) -> float:

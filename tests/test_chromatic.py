@@ -322,7 +322,8 @@ class TestFindBalanced:
         m = ModelInstance(BlockVector.integral([3, 3]),
                           ProbMatrix([[0.5, 0.5], [0.5, 0.5]]))
         g = sample_sbm(m, 1)
-        got = find_balanced_independent_set(m, g, BlockVector.integral([0, 1]),
+        got = find_balanced_independent_set(g, range(g.n),
+                                            BlockVector.integral([0, 1]),
                                             seed=0)
         assert got is not None and len(got) == 1
         assert g.block_of[next(iter(got))] == 1
@@ -331,7 +332,8 @@ class TestFindBalanced:
         m = ModelInstance(BlockVector.integral([4, 4]),
                           ProbMatrix(np.zeros((2, 2))))
         g = sample_sbm(m, 2)
-        got = find_balanced_independent_set(m, g, BlockVector.integral([3, 2]),
+        got = find_balanced_independent_set(g, range(g.n),
+                                            BlockVector.integral([3, 2]),
                                             seed=0)
         assert got is not None
         assert g.b_vector(got).tolist() == [3, 2]
@@ -342,18 +344,92 @@ class TestFindBalanced:
         for seed in range(20):
             g = sample_sbm(m, 500 + seed)
             got = find_balanced_independent_set(
-                m, g, BlockVector.integral([10]), seed=seed, effort=4)
+                g, range(g.n), BlockVector.integral([10]), seed=seed, effort=4)
             assert got is None
 
     def test_result_is_independent(self):
         m = ModelInstance(BlockVector.integral([6, 6]),
                           ProbMatrix([[0.2, 0.1], [0.1, 0.2]]))
         g = sample_sbm(m, 3)
-        got = find_balanced_independent_set(m, g, BlockVector.integral([2, 2]),
+        got = find_balanced_independent_set(g, range(g.n),
+                                            BlockVector.integral([2, 2]),
                                             seed=1)
         if got is not None:
             vs = sorted(got)
             assert not any(g.has_edge(u, v) for u in vs for v in vs if v > u)
+
+    # one, two and three bitset words
+    @pytest.mark.parametrize("m, gs", [
+        (ModelInstance.gnp(8, 0.3), 31),
+        (ModelInstance.gnp(30, 0.5), 32),
+        (ModelInstance.gnp(64, 0.2), 33),
+        (ModelInstance(BlockVector.integral([20, 25, 20]),
+                       ProbMatrix([[0.3, 0.1, 0.05], [0.1, 0.25, 0.1],
+                                   [0.05, 0.1, 0.35]])), 34),
+        (ModelInstance.gnp(129, 0.15), 35),
+        (ModelInstance(BlockVector.integral([65, 67]),
+                       ProbMatrix([[0.2, 0.05], [0.05, 0.3]])), 36),
+    ], ids=["n8", "n30", "n64", "n65", "n129", "n132"])
+    def test_masked_search_equals_subgraph_search(self, m, gs, monkeypatch):
+        checks = []
+        check = chromatic._profile_feasible
+
+        def recorded(*args):
+            checks.append(check(*args))
+            return checks[-1]
+
+        def search(graph, vertices, target, seed):
+            checks.clear()
+            found = find_balanced_independent_set(graph, vertices, target,
+                                                  seed=seed, effort=3)
+            return found, list(checks)
+
+        monkeypatch.setattr(chromatic, "_profile_feasible", recorded)
+        g = sample_sbm(m, gs)
+        rng = np.random.default_rng(gs)
+        got = []
+        for trial in range(4):
+            inside = np.flatnonzero(rng.random(g.n) < rng.uniform(0.3, 0.9))
+            sub, mapping = g.subgraph(inside)
+            have = sub.block_sizes()
+            # all of S is infeasible as soon as S has an edge
+            for tgt in (np.minimum(have, 1), have // 4, have // 2, have):
+                target = BlockVector(tgt, integer=True)
+                seed = 10 * gs + trial
+                found, found_checks = search(g, set(inside.tolist()),
+                                             target, seed)
+                ref, ref_checks = search(sub, range(sub.n), target, seed)
+                want = None if ref is None else frozenset(mapping[i]
+                                                          for i in ref)
+                assert found == want, (trial, tgt.tolist())
+                assert found_checks == ref_checks  # the exact check, too
+                got.append(found)
+        assert None in got and any(got)
+
+    def test_vertex_outside_graph_rejected(self):
+        g = sample_sbm(ModelInstance.gnp(10, 0.3), 1)
+        for bad in ([0, 10], [-1, 3]):
+            with pytest.raises(ModelError, match="out of range"):
+                find_balanced_independent_set(g, bad,
+                                              BlockVector.integral([1]))
+
+    def test_target_above_counts_inside_vertices_rejected(self):
+        m = ModelInstance(BlockVector.integral([4, 4]),
+                          ProbMatrix(np.zeros((2, 2))))
+        g = sample_sbm(m, 2)
+        assert find_balanced_independent_set(
+            g, range(8), BlockVector.integral([3, 2])) is not None
+        with pytest.raises(ModelError, match="exceeds"):  # 2 of block 0 in S
+            find_balanced_independent_set(g, [0, 1, 4, 5, 6],
+                                          BlockVector.integral([3, 2]))
+
+    @pytest.mark.parametrize("effort", [0, -3])
+    def test_nonpositive_effort_rejected(self, effort):
+        g = sample_sbm(ModelInstance.gnp(10, 0.3), 1)
+        with pytest.raises(ValueError, match="effort"):
+            find_balanced_independent_set(g, range(g.n),
+                                          BlockVector.integral([1]),
+                                          effort=effort)
 
 
 class TestBalancedExtraction:
@@ -511,7 +587,7 @@ class TestPinnedSearchOutputs:
     def test_balanced_feasible(self, gs):
         g = sample_sbm(self.MODEL, gs)
         found = find_balanced_independent_set(
-            self.MODEL, g, BlockVector(np.ones(5, dtype=np.int64), integer=True),
+            g, range(g.n), BlockVector(np.ones(5, dtype=np.int64), integer=True),
             seed=gs + 300)
         assert sorted(found) == PINNED_ONE_PER_BLOCK[gs]
 
@@ -520,7 +596,7 @@ class TestPinnedSearchOutputs:
         g = sample_sbm(self.MODEL, gs)
         assert independence_number(g) < 10  # so two per block cannot exist
         target = BlockVector(np.full(5, 2, dtype=np.int64), integer=True)
-        assert find_balanced_independent_set(self.MODEL, g, target,
+        assert find_balanced_independent_set(g, range(g.n), target,
                                              seed=gs + 300) is None
 
 
@@ -575,7 +651,7 @@ class TestProfileCheck:
         for m, gs, tgt in cases:
             g = sample_sbm(m, gs)
             assert find_balanced_independent_set(
-                m, g, BlockVector.integral(tgt), seed=gs) is None
+                g, range(g.n), BlockVector.integral(tgt), seed=gs) is None
 
     @pytest.mark.parametrize("gs", sorted(PINNED_ONE_PER_BLOCK))
     def test_undecided_check_runs_the_unchanged_search(self, monkeypatch, gs):
@@ -682,7 +758,7 @@ class TestPinnedWideSearchOutputs:
         got = []
         for i, tgt in enumerate(targets):
             found = find_balanced_independent_set(
-                m, g, BlockVector(tgt, integer=True), seed=gs + 2 + i)
+                g, range(g.n), BlockVector(tgt, integer=True), seed=gs + 2 + i)
             got.append(None if found is None else sorted(found))
         assert got == PINNED_WIDE_BALANCED[name]
 

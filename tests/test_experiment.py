@@ -122,6 +122,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(base_config(chi_methods=["magic"]))
 
+    @pytest.mark.parametrize("effort", [0, -3])
+    def test_rejects_nonpositive_extraction_effort(self, effort):
+        # the search would never run, so extraction would be DSATUR
+        with pytest.raises(ConfigError, match="extraction_effort"):
+            ExperimentConfig.from_dict(base_config(
+                chi_methods=["extraction"], extraction_effort=effort))
+
     def test_rejects_empty_sweep_values(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(
@@ -416,6 +423,23 @@ class TestRunExperiment:
         assert digests == [
             "f85281ed000ad8cb334e1b43eb33cb73aab89f172a5e81ffad47fd677b9de73e",
             "9f993919b1678a08c20b81a688b5348ca58a9b3138f7db4a1b1f8c65339b0bc5"]
+
+    def test_wstar_sbm_extraction_report_digest(self, tmp_path):
+        # the shape of the sbm-wstar benchmark workload: 7 blocks, DSATUR
+        # and balanced extraction, heuristic alpha_h
+        cfg = ExperimentConfig.from_dict({
+            "model": {"kind": "sbm", "sizes": [6] * 7, "P": P_WSTAR},
+            "replicates": 8, "base_seed": 20260810,
+            "chi_methods": ["dsatur", "extraction"],
+            "measures": ["chi", "alpha_h", "edge_count"],
+            "alpha_h_mode": "heuristic"})
+        out = tmp_path / "r.csv"
+        run_experiment(cfg, str(out))
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (out, tmp_path / "r.csv.summary.json")]
+        assert digests == [
+            "6b392682496749a2828b7929d8618b9962142c67aa547f4d9468d4a04c5f9b1d",
+            "dbd16f7cc70f6b95c05e901a1fb962743e0201e0eb899fbe0b35e2c6b3ded978"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", sorted(KIND_CONFIGS))

@@ -154,6 +154,84 @@ class TestCornerEngine:
         assert dec.w_sum == pytest.approx(ref.w_sum, rel=1e-9, abs=1e-9)
 
 
+def corner_scan_w_value(x, q):
+    """w_value as it was with its own corner arithmetic, kept as a
+    reference: (value, support, maximizer, number of distinct supports
+    within the tie tolerance of the value)."""
+    xv, qm, k = x.values, q.entries, x.k
+    if k <= functionals._CHUNK_BITS:
+        chunks = [functionals._corner_masks(k)]
+    else:
+        step = 1 << functionals._CHUNK_BITS
+        chunks = (functionals._chunk_masks(k, lo, lo + step)
+                  for lo in range(0, 1 << k, step))
+    best_val, best_key, best_z = 0.0, (0, ()), np.zeros(k)
+    seen = {}
+    for masks in chunks:
+        z = masks * xv
+        norms = z.sum(axis=1)
+        quad = ((z @ qm) * z).sum(axis=1)
+        vals = np.divide(quad, norms, out=np.zeros_like(quad),
+                         where=norms > 0.0)
+        vmax = float(vals.max())
+        tol = 1e-12 * max(1.0, abs(vmax), abs(best_val))
+        if vmax < best_val - tol:
+            continue
+        for idx in np.nonzero(vals >= max(vmax, best_val) - tol)[0]:
+            zi = z[idx]
+            supp = tuple(int(i) for i in np.nonzero(zi > 0.0)[0])
+            key = (len(supp), supp)
+            seen[key] = max(seen.get(key, -math.inf), float(vals[idx]))
+            if vals[idx] > best_val + tol or (vals[idx] >= best_val - tol
+                                              and key < best_key):
+                best_val, best_key, best_z = float(vals[idx]), key, zi.copy()
+    tol = 1e-12 * max(1.0, abs(best_val))
+    tied = sum(v >= best_val - tol for v in seen.values())
+    return best_val, best_key[1], best_z, tied
+
+
+def one_engine_cases():
+    """500 seeded (x, Q): 40 at each k = 1..12 and 20 at k = 17 (chunked).
+    Every third case is integer, where corners can tie exactly: a constant
+    x under a multiple of the identity (every nonempty corner ties; up to
+    k = 12), or 0/1 entries in both x and Q."""
+    cases = []
+    for k, count in [(k, 40) for k in range(1, 13)] + [(17, 20)]:
+        rng = np.random.default_rng(900 + k)
+        for i in range(count):
+            if i % 6 == 0 and k <= 12:  # at k = 17, 2^17 tied corners
+                q = QMatrix(float(rng.integers(1, 4)) * np.eye(k))
+                x = BlockVector.integral([int(rng.integers(1, 4))] * k)
+            elif i % 6 == 3:
+                a = rng.integers(0, 2, (k, k)).astype(np.float64)
+                q = QMatrix(np.triu(a) + np.triu(a, 1).T)
+                x = BlockVector.integral(rng.integers(0, 2, k))
+            else:
+                q = rand_qmatrix(rng, k)
+                x = BlockVector(rng.uniform(0, 5, k) * (rng.random(k) < 0.8))
+            cases.append((k, x, q))
+    return cases
+
+
+class TestOneCornerEngine:
+    """w_value and _w_batch read one corner engine."""
+
+    def test_value_is_one_row_batch_and_maximizer_is_corner_scan(self):
+        cases = one_engine_cases()
+        assert len(cases) == 500
+        tied_cases = 0
+        for k, x, q in cases:
+            sol = w_value(x, q)
+            one_row = functionals._w_batch(x.values[None], q.entries)[0]
+            assert sol.value == one_row, (k, x.values.tolist())
+            value, support, maximizer, tied = corner_scan_w_value(x, q)
+            assert sol.support == support, (k, x.values.tolist())
+            assert np.array_equal(sol.maximizer.values, maximizer)
+            assert sol.value == pytest.approx(value, rel=1e-12, abs=0.0)
+            tied_cases += tied > 1
+        assert tied_cases >= 80  # the tie-break is exercised
+
+
 class TestWValueSampled:
     def test_approaches_corner_max(self):
         got = w_value_sampled(BlockVector([1, 1]), Q_CROSS, trials=10_000, seed=1)
