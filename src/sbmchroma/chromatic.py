@@ -15,7 +15,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -337,14 +337,15 @@ def alpha_h(m: ModelInstance, g: SbmGraph, mode: str = "exact",
     (F + r (|S| + (r-1)/2) max_q) / (|S| + r) cannot beat the best h so far;
     r is the number of candidates or, tighter, the number of classes of a
     greedy clique cover of them, since an independent set takes at most one
-    vertex of a clique.  "heuristic" is the seeded ruin-and-recreate local
-    search alone.  "exact-first" runs the branch and bound under a budget of
-    1e5 nodes and returns its proven maximum when it finishes; otherwise it
-    runs the local search and returns whichever of its set and the
-    enumeration's incumbent has the larger h, with exact=False.  So it is
-    never below "heuristic" at the same seed.  Past n = 512 it runs the
-    local search alone.  Both budgets count nodes, so every mode is
-    deterministic.
+    vertex of a clique.  "heuristic" is the local search alone: the seeded
+    `_ruin_and_recreate` search that the balanced extraction also runs,
+    scored by h with no block limit, plus a drop pass on every set.
+    "exact-first" runs the branch and bound under a budget of 1e5 nodes
+    and returns its proven maximum when it finishes; otherwise it runs the
+    local search and returns whichever of its set and the enumeration's
+    incumbent has the larger h, with exact=False.  So it is never below
+    "heuristic" at the same seed.  Past n = 512 it runs the local search
+    alone.  Both budgets count nodes, so every mode is deterministic.
     """
     if g.n == 0:
         raise ModelError("alpha_h of the empty graph is undefined")
@@ -392,8 +393,9 @@ def _refill(adj: list[int], block_bits: list[int], block_of: np.ndarray,
     """Adaptive randomized greedy fill of `ind`, in place.
 
     A vertex is addable when it is in the bitset `free` (outside `ind`,
-    with no neighbour in it) and its block has `room` left.  Each step adds
-    a random one of the 30 % of addable vertices with the fewest addable
+    with no neighbour in it) and its block b has room[b] > 0 left (the
+    cap minus b's count in `ind`; used up in place).  Each step adds a
+    random one of the 30 % of addable vertices with the fewest addable
     neighbours (ties by index), until none is addable.
     """
     addable = free
@@ -432,22 +434,50 @@ def _ruin(adj: list[int], ind: np.ndarray, universe: int, rng) -> int:
     return universe & ~taken
 
 
-def _alpha_h_local_search(m: ModelInstance, g: SbmGraph, seed: int,
-                          restarts: int = 6, iters: int = 40) -> frozenset[int]:
-    """Seeded ruin-and-recreate: adaptive randomized greedy fills, partial
-    teardown, refill; a drop pass trades large light sets for small heavy
-    ones.  The best h seen anywhere is kept."""
-    n = g.n
-    adj = g.adjacency_bits()
-    bbits = _block_bits(g.block_of.tolist(), g.k)
-    w = _pair_weights(m, g)
+def _ruin_and_recreate(g: SbmGraph, universe: int, cap: np.ndarray,
+                       seed: int, starts: int, iters: int,
+                       score: Callable[[np.ndarray], float]
+                       ) -> Iterator[tuple[np.ndarray, float]]:
+    """Seeded ruin-and-recreate search over independent sets of g inside
+    the vertex bitset `universe` with at most cap[b] vertices in block b.
 
-    def pair_sum(ind: np.ndarray) -> float:
-        return float(ind @ w @ ind - np.diag(w) @ ind) / 2.0
+    Each of `starts` starts (its own rng, derived from `seed` and the start
+    index) fills an empty set, then `iters` times ruins and refills a copy
+    of its current set, which the copy replaces when its score is no lower.
+    Every refill gets cap minus the block counts of the set as room.
+    Yields (set, score) for every set built, the set as a 0/1 vector that
+    the caller must not write.
+    """
+    adj = g.adjacency_bits()
+    blocks = g.block_of
+    bbits = _block_bits(blocks.tolist(), g.k)
+    for start in range(starts):
+        rng = rng_from_seed(derive_seed(seed, start))
+        cur, cur_score = np.zeros(g.n), -math.inf
+        for _ in range(iters + 1):
+            ind = cur.copy()
+            # ruining the empty first set draws nothing and frees universe
+            free = _ruin(adj, ind, universe, rng)
+            room = cap - np.bincount(blocks[ind > 0.0], minlength=g.k)
+            _refill(adj, bbits, blocks, ind, free, room, rng)
+            value = score(ind)
+            yield ind, value
+            if value >= cur_score:  # accept ties to keep wandering
+                cur, cur_score = ind, value
+
+
+def _alpha_h_local_search(m: ModelInstance, g: SbmGraph,
+                          seed: int) -> frozenset[int]:
+    """Ruin-and-recreate search (6 starts of 40 steps) scored by h, with no
+    block limit; a drop pass on every set built trades large light sets for
+    small heavy ones.  The best h seen anywhere is kept."""
+    w = _pair_weights(m, g)
 
     def h_of(ind: np.ndarray) -> float:
         size = float(ind.sum())
-        return pair_sum(ind) / size if size >= 1.0 else 0.0
+        if size < 1.0:
+            return 0.0
+        return float(ind @ w @ ind - np.diag(w) @ ind) / 2.0 / size
 
     def drop_pass(ind: np.ndarray) -> np.ndarray:
         changed = True
@@ -463,35 +493,15 @@ def _alpha_h_local_search(m: ModelInstance, g: SbmGraph, seed: int,
                     changed = True
         return ind
 
-    best_ind = np.zeros(n)
+    best_ind = np.zeros(g.n)
     best_ind[0] = 1.0
     best_h = 0.0
-
-    def consider(ind: np.ndarray) -> None:
-        nonlocal best_h, best_ind
-        hv = h_of(ind)
-        if hv > best_h:
-            best_h, best_ind = hv, ind.copy()
-
-    # a whole block is room enough: no block closes while it has an
-    # addable vertex
-    for r in range(restarts):
-        rng = rng_from_seed(derive_seed(seed, r))
-        ind = np.zeros(n)
-        _refill(adj, bbits, g.block_of, ind, (1 << n) - 1, g.block_sizes(),
-                rng)
-        consider(ind)
-        consider(drop_pass(ind.copy()))
-        cur = ind.copy()
-        cur_h = h_of(cur)
-        for _ in range(iters):
-            ind = cur.copy()
-            free = _ruin(adj, ind, (1 << n) - 1, rng)
-            _refill(adj, bbits, g.block_of, ind, free, g.block_sizes(), rng)
-            consider(ind)
-            consider(drop_pass(ind.copy()))
-            if h_of(ind) >= cur_h:  # accept ties to keep wandering
-                cur, cur_h = ind.copy(), h_of(ind)
+    for ind, h in _ruin_and_recreate(g, (1 << g.n) - 1, g.block_sizes(),
+                                     seed, 6, 40, h_of):
+        dropped = drop_pass(ind)
+        for cand, cand_h in ((ind, h), (dropped, h_of(dropped))):
+            if cand_h > best_h:
+                best_h, best_ind = cand_h, cand
     return frozenset(int(v) for v in np.nonzero(best_ind > 0.0)[0])
 
 
@@ -559,9 +569,9 @@ def find_balanced_independent_set(g: SbmGraph, vertices: Iterable[int],
 
     Returns None at once when an exact check (`_profile_feasible`, at most
     `_PROFILE_CHECK_NODES` nodes) proves the profile impossible.  Otherwise
-    seeded ruin-and-recreate: adaptive randomized greedy fills restricted
-    to blocks still below target, partial teardown and refill while the
-    unmet demand does not grow.  Up to `effort` (>= 1) restarts.
+    it runs `_ruin_and_recreate` with cap `target`, `effort` (>= 1) starts
+    of 12 steps, scoring a set by minus its unmet demand, and returns the
+    first set that meets the target.
     """
     if effort < 1:
         raise ValueError("effort must be >= 1")
@@ -576,37 +586,16 @@ def find_balanced_independent_set(g: SbmGraph, vertices: Iterable[int],
     if tgt.sum() == 0:
         return frozenset()
     within = sum(1 << v for v in inside)
-    adj = g.adjacency_bits()
-    if _profile_feasible(adj, g.block_of.tolist(), tgt.tolist(),
+    if _profile_feasible(g.adjacency_bits(), g.block_of.tolist(), tgt.tolist(),
                          _PROFILE_CHECK_NODES, within) is False:
         return None
-    blocks = g.block_of
-    bbits = _block_bits(blocks.tolist(), g.k)
-
-    def room(ind: np.ndarray) -> np.ndarray:
-        return tgt - np.bincount(blocks[ind > 0.0], minlength=g.k)
-
-    def deficit(ind: np.ndarray) -> int:
-        return int(np.clip(room(ind), 0, None).sum())
-
-    iters = 12
-    for attempt in range(effort):
-        rng = rng_from_seed(derive_seed(seed, attempt))
-        ind = np.zeros(g.n)
-        _refill(adj, bbits, blocks, ind, within, tgt.copy(), rng)
-        cur = ind.copy()
-        cur_def = deficit(cur)
-        for _ in range(iters):
-            if cur_def == 0:
-                break
-            ind = cur.copy()
-            free = _ruin(adj, ind, within, rng)
-            _refill(adj, bbits, blocks, ind, free, room(ind), rng)
-            new_def = deficit(ind)
-            if new_def <= cur_def:  # accept ties to keep wandering
-                cur, cur_def = ind.copy(), new_def
-        if cur_def == 0:  # no block exceeds its target, so all meet it
-            return frozenset(int(v) for v in np.nonzero(cur > 0.0)[0])
+    # no block exceeds its target, so the deficit is the vertices missing
+    need = int(tgt.sum())
+    for ind, score in _ruin_and_recreate(
+            g, within, tgt, seed, effort, 12,
+            lambda ind: int(ind.sum()) - need):
+        if score == 0:
+            return frozenset(int(v) for v in np.nonzero(ind > 0.0)[0])
     return None
 
 

@@ -495,10 +495,11 @@ def emit_plotdata(report_path: str, x: str, y: str, out_path: str,
     here.
     """
     with open(report_path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
-    if not lines:
+        recs = [(no, ln.rstrip("\n").split(",")) for no, ln in enumerate(fh, 1)
+                if ln.rstrip("\n") and not ln.startswith("#")]
+    if not recs:
         raise ModelError("empty report")
-    header = lines[0].split(",")
+    header = recs[0][1]
     for col in [x, y] + ([group] if group else []):
         if col not in header:
             raise ModelError(f"unknown column {col!r}")
@@ -515,11 +516,11 @@ def emit_plotdata(report_path: str, x: str, y: str, out_path: str,
             return (1, 0.0, rec[xi], group_key)
         return (0, xv, "", group_key)
 
-    body = [ln.split(",") for ln in lines[1:] if ln]
-    body.sort(key=sort_key)
-    cols = [x, y] + ([group] if group else [])
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(cols) + "\n")
-        for rec in body:
-            out = [rec[xi], rec[yi]] + ([rec[gi]] if gi is not None else [])
-            fh.write("\t".join(out) + "\n")
+    for no, rec in recs[1:]:
+        if len(rec) != len(header):
+            raise ModelError(f"report line {no} has {len(rec)} fields, "
+                             f"its header {len(header)}")
+    body = sorted((rec for _, rec in recs[1:]), key=sort_key)
+    cols = [xi, yi] + ([gi] if gi is not None else [])
+    _write_atomic(out_path, "".join("\t".join(rec[c] for c in cols) + "\n"
+                                    for rec in [header] + body))

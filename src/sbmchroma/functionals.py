@@ -177,16 +177,20 @@ def w_value(x: BlockVector, q: QMatrix) -> CornerSolution:
         raise GuardError(f"corner enumeration refuses k={x.k} > {MAX_CORNER_K}; "
                          "use w_value_sampled")
     xv = x.values
-    best, near = -math.inf, []  # near: (ratio, (|support|, support))
+    positive = sum(1 << j for j in range(x.k) if xv[j] > 0.0)
+    best, near = -math.inf, []  # near: (ratios, support bitsets) a chunk
     for _, lo, vals in _corner_ratios(xv[None], q.entries):
-        best = max(best, float(vals.max()))
-        floor = best - 1e-12 * max(1.0, abs(best))
-        near = [c for c in near if c[0] >= floor]
-        for idx in np.flatnonzero(vals[0] >= floor).tolist():
-            supp = tuple(j for j in range(x.k)
-                         if (lo + idx) >> j & 1 and xv[j] > 0.0)
-            near.append((vals[0, idx], (len(supp), supp)))
-    support = min(key for _, key in near)[1]
+        if vals.max() > best:
+            best = float(vals.max())
+            floor = best - 1e-12 * max(1.0, abs(best))
+            near = [(r[r >= floor], s[r >= floor]) for r, s in near]
+        idx = np.flatnonzero(vals[0] >= floor)
+        near.append((vals[0, idx], (lo + idx) & positive))
+    # all 2^k corners can tie, so only the smallest supports become tuples
+    masks = np.concatenate([s for _, s in near])
+    sizes = sum((masks >> j) & 1 for j in range(x.k))
+    support = min(tuple(j for j in range(x.k) if mask >> j & 1)
+                  for mask in masks[sizes == sizes.min()].tolist())
     z = np.where([j in support for j in range(x.k)], xv, 0.0)
     return CornerSolution(value=best, support=support,
                           maximizer=BlockVector(z, integer=x.is_integer))

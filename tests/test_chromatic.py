@@ -620,6 +620,41 @@ def independent_profiles(g: SbmGraph) -> set[tuple[int, ...]]:
     return found
 
 
+class TestRuinAndRecreate:
+    """The one search behind alpha_h's local search and the balanced
+    extraction, on one to three bitset words."""
+
+    @pytest.mark.parametrize("n", [8, 30, 64, 65, 129])
+    def test_every_set_is_independent_inside_universe_and_cap(self, n):
+        rng = np.random.default_rng(1800 + n)
+        for trial in range(4):
+            k = int(rng.integers(1, 5))
+            sizes = rng.multinomial(n - k, np.ones(k) / k) + 1
+            a = rng.uniform(0.0, 0.6, (k, k))
+            g = sample_sbm(ModelInstance(BlockVector(sizes, integer=True),
+                                         ProbMatrix((a + a.T) / 2)),
+                           100 * n + trial)
+            universe = sum(1 << v for v in range(n) if rng.random() < 0.7)
+            cap = rng.integers(0, sizes + 1)
+            starts, iters = int(rng.integers(1, 4)), int(rng.integers(0, 6))
+            weights = rng.uniform(-1.0, 1.0, n)
+            adj = g.adjacency_bits()
+            built = 0
+            for ind, score in chromatic._ruin_and_recreate(
+                    g, universe, cap, trial, starts, iters,
+                    lambda ind: float(weights @ ind)):
+                members = np.flatnonzero(ind).tolist()
+                assert set(np.unique(ind).tolist()) <= {0.0, 1.0}
+                assert score == float(weights @ ind)
+                bits = sum(1 << v for v in members)
+                assert bits & ~universe == 0
+                assert all(adj[v] & bits == 0 for v in members)
+                counts = np.bincount(g.block_of[members], minlength=g.k)
+                assert np.all(counts <= cap), (n, trial)
+                built += 1
+            assert built == starts * (iters + 1)
+
+
 class TestProfileCheck:
     def test_matches_enumeration(self):
         rng = np.random.default_rng(90)

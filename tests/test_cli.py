@@ -201,6 +201,17 @@ class TestExperimentCommand:
         assert code == 0 and info == {"written": str(plot)}
         assert plot.read_text() == "a\tb\n1\t2\n2\t4\n\t3\n"
 
+    def test_plotdata_rejects_a_short_line(self, tmp_path, capsys):
+        report = tmp_path / "rep.csv"
+        report.write_text("# sbmchroma-report v1\na,b,c\n1,2,3\n4\n5,6,7\n")
+        plot = tmp_path / "plot.tsv"
+        code = main(["plotdata", "--report", str(report), "--x", "a",
+                     "--y", "c", "--out", str(plot)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 4" in err
+        assert list(tmp_path.iterdir()) == [report]
+
     def test_invalid_config_is_an_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

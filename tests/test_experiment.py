@@ -441,6 +441,33 @@ class TestRunExperiment:
             "6b392682496749a2828b7929d8618b9962142c67aa547f4d9468d4a04c5f9b1d",
             "dbd16f7cc70f6b95c05e901a1fb962743e0201e0eb899fbe0b35e2c6b3ded978"]
 
+    def test_exact_first_fallback_report_digest(self, tmp_path, monkeypatch):
+        # assortative blocks: on both rows the default exact-first alpha_h
+        # spends its 1e5 nodes and falls back to the local search, a path
+        # no benchmark workload takes
+        calls = []
+        search = chromatic._alpha_h_local_search
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(chromatic, "_alpha_h_local_search", counted)
+        p = [[0.6 if i == j else 0.1 for j in range(5)] for i in range(5)]
+        cfg = ExperimentConfig.from_dict({
+            "model": {"kind": "sbm", "sizes": [10] * 5, "P": p},
+            "replicates": 2, "base_seed": 20260810,
+            "chi_methods": ["dsatur", "extraction"],
+            "measures": ["chi", "alpha_h"]})
+        out = tmp_path / "r.csv"
+        run_experiment(cfg, str(out))
+        assert len(calls) == 2
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (out, tmp_path / "r.csv.summary.json")]
+        assert digests == [
+            "6bcabbdab3a7eec52eb5355bf7c47fef680ee5ad99b9334a97c13bb19fc48c27",
+            "c361ec530cde34c0fe2997efabaea27c9aa8e274a2a688a13625e0f18ac9e4e9"]
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", sorted(KIND_CONFIGS))
     def test_report_digest_per_model_kind(self, tmp_path, name, workers):

@@ -30,6 +30,14 @@ class TestWValue:
         assert sol.value == pytest.approx(2.0)
         assert sol.support == (0,)
 
+    def test_all_corners_tied_at_k17(self):
+        # every nonempty corner of 2^17 ties; only the singletons are
+        # compared as supports
+        sol = w_value(BlockVector.integral([2] * 17), QMatrix(np.eye(17)))
+        assert sol.value == 2.0
+        assert sol.support == (0,)
+        assert sol.maximizer.values.tolist() == [2.0] + [0.0] * 16
+
     def test_cross_heavy_prefers_full_box(self):
         sol = w_value(BlockVector([1, 1]), Q_CROSS)
         assert sol.value == pytest.approx(4.0)
