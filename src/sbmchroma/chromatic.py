@@ -310,6 +310,8 @@ def independent_set_probability(m: ModelInstance, vertices: Iterable[int],
     """
     if block_of is None:
         block_of = np.repeat(np.arange(m.k), m.sizes.values.astype(np.int64))
+    elif block_of.size and not 0 <= block_of.min() <= block_of.max() < m.k:
+        raise ModelError(f"block index outside the model's {m.k} blocks")
     vs = sorted(set(int(v) for v in vertices))
     if any(v < 0 or v >= block_of.size for v in vs):
         raise ModelError("vertex out of range")
@@ -349,6 +351,8 @@ def alpha_h(m: ModelInstance, g: SbmGraph, mode: str = "exact",
     """
     if g.n == 0:
         raise ModelError("alpha_h of the empty graph is undefined")
+    if m.k != g.k:
+        raise ModelError(f"dimension mismatch: model k={m.k}, graph k={g.k}")
     if mode not in ("exact", "heuristic", "exact-first"):
         raise ValueError(f"unknown alpha_h mode {mode!r}")
     if mode == "exact" and g.n > _ALPHA_EXACT_HARD_N:

@@ -16,15 +16,17 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import chromatic as chrom
 from .functionals import (Decomposition, GuardError, round_integer_system,
                           w_star_solve)
-from .graphs import (BlowUpSpec, blow_up_as_model, check_chung_lu,
+from .graphs import (BlowUpSpec, blow_up_as_model, chung_lu_probs,
                      sample_chung_lu, sample_sbm, union_graphs, union_model)
 from .model import BlockVector, ModelError, ModelInstance, ProbMatrix, q_star
 from .predictions import (predict_chung_lu, predict_gnp, predict_percolation,
@@ -138,7 +140,7 @@ class ExperimentConfig:
 
 def _apply_param(spec: dict, name: str, value) -> None:
     """Set sweep parameter `name` of a model spec: `p12`, one `P.i.j`
-    entry (kept symmetric), or a key the spec already has."""
+    entry (kept symmetric), or a key the spec has other than `kind`."""
     if name == "p12":
         if spec.get("kind") != "sbm" or len(spec.get("P", [])) != 2:
             raise ConfigError("sweeping p12 needs a two-block sbm model")
@@ -152,97 +154,83 @@ def _apply_param(spec: dict, name: str, value) -> None:
             spec["P"][i][j] = spec["P"][j][i] = value
         except (KeyError, ValueError, IndexError) as exc:
             raise ConfigError(f"cannot sweep {name!r}: {exc}") from exc
-    elif name in spec:
+    elif name in spec and name != "kind":
         spec[name] = value
     else:
-        raise ConfigError(f"cannot sweep {name!r}: the model has no such key")
+        raise ConfigError(f"cannot sweep {name!r}: not a sweepable model key")
 
 
 # --- one grid point ---------------------------------------------------------
 
 def _models(spec: dict) -> tuple[Optional[ModelInstance],
-                                 Optional[ModelInstance], tuple]:
-    """(block model, colouring model, instances graphs are sampled from)
-    for a model spec; ModelError for invalid parameters.  The Chung-Lu
+                                 Optional[ModelInstance], Callable,
+                                 Optional[Callable]]:
+    """The one reader of a model spec: (block model, colouring model, row
+    seed -> graph sampler, unevaluated chi formula or None).  The Chung-Lu
     kinds have no block model and colour with one block per vertex (k = n),
-    or with no model when some entry reaches 1 (plus kind, 2 p max(u) >= 1).
+    or with no model when an entry reaches 1 (plus kind, 2 p max(u) >= 1).
+    ModelError for invalid parameters, ConfigError for malformed keys.
     """
     kind = spec["kind"]
-    if kind in ("chunglu-times", "chunglu-plus"):
-        p = float(spec["p"])
-        u = check_chung_lu(spec["u"], p, kind.removeprefix("chunglu-"))
-        pm = p * (np.outer(u, u) if kind == "chunglu-times"
-                  else u[:, None] + u[None, :])
-        try:
-            model = ModelInstance(BlockVector.integral([1] * u.size),
-                                  ProbMatrix(pm))
-        except ModelError:
-            model = None
-        return None, model, ()
-    if kind == "union-sbm":
-        parts = tuple(_models(part)[0] for part in spec["of"])
-        for part, inst in zip(spec["of"], parts):
-            if inst is None:
-                raise ModelError(f"union-sbm part of kind {part['kind']!r} "
-                                 "is not a block model")
-        inst = union_model(*parts)
-        return inst, inst, parts
-    if kind == "sbm":
-        inst = ModelInstance(BlockVector.integral(spec["sizes"]),
-                             ProbMatrix(spec["P"]),
-                             sigma_hint=spec.get("sigma_hint"))
-    elif kind == "gnp":
-        inst = ModelInstance.gnp(int(spec["n"]), float(spec["p"]))
-    else:  # blowup-percolate
-        bspec = BlowUpSpec.from_edges(int(spec["k"]), spec["h_edges"],
-                                      spec["sizes"])
-        inst = blow_up_as_model(bspec, float(spec["p"]))
-    return inst, inst, (inst,)
-
-
-def _sample(spec: dict, parts: tuple, seed: int):
-    kind = spec["kind"]
-    if kind == "union-sbm":
-        g1 = sample_sbm(parts[0], derive_seed(seed, 1))
-        g2 = sample_sbm(parts[1], derive_seed(seed, 2))
-        return union_graphs(g1, g2)
-    if kind in ("chunglu-times", "chunglu-plus"):
-        return sample_chung_lu(spec["u"], float(spec["p"]),
-                               kind.removeprefix("chunglu-"), seed)
-    return sample_sbm(parts[0], seed)
-
-
-def _model_prediction(spec: dict) -> Optional[float]:
-    """The model kind's own chi formula, or None where it is undefined."""
-    kind = spec["kind"]
     try:
-        if kind == "gnp":
-            return predict_gnp(int(spec["n"]), float(spec["p"])).chi_predicted
-        if kind == "blowup-percolate":
+        if kind in ("chunglu-times", "chunglu-plus"):
+            u, p = spec["u"], float(spec["p"])
+            sub = kind.removeprefix("chunglu-")
+            pm = chung_lu_probs(u, p, sub)
+            model = (ModelInstance(BlockVector.integral([1] * len(pm)),
+                                   ProbMatrix(pm)) if pm.max() < 1.0 else None)
+            return (None, model, partial(sample_chung_lu, u, p, sub),
+                    partial(predict_chung_lu, u, p, sub))
+        if kind == "union-sbm":
+            if len(spec["of"]) != 2:
+                raise ConfigError("a union-sbm model takes exactly two parts")
+            (m1, _, sample1, _), (m2, _, sample2, _) = map(_models, spec["of"])
+            for part, inst in zip(spec["of"], (m1, m2)):
+                if inst is None:
+                    raise ModelError(f"union-sbm part of kind "
+                                     f"{part['kind']!r} is not a block model")
+            inst = union_model(m1, m2)
+            return inst, inst, partial(_sample_union, sample1, sample2), None
+        chi = None
+        if kind == "sbm":
+            inst = ModelInstance(BlockVector.integral(spec["sizes"]),
+                                 ProbMatrix(spec["P"]),
+                                 sigma_hint=spec.get("sigma_hint"))
+            if inst.k == 2:
+                (p11, p12), (_, p22) = spec["P"]
+                chi = partial(predict_two_block, *map(int, spec["sizes"]),
+                              float(p11), float(p22), float(p12))
+        elif kind == "gnp":
+            n, p = int(spec["n"]), float(spec["p"])
+            inst, chi = ModelInstance.gnp(n, p), partial(predict_gnp, n, p)
+        elif kind == "blowup-percolate":
             bspec = BlowUpSpec.from_edges(int(spec["k"]), spec["h_edges"],
                                           spec["sizes"])
-            return predict_percolation(bspec, float(spec["p"])).chi_predicted
-        if kind == "sbm" and len(spec["sizes"]) == 2:
-            (p11, p12), (_, p22) = spec["P"]
-            return predict_two_block(
-                int(spec["sizes"][0]), int(spec["sizes"][1]), float(p11),
-                float(p22), float(p12)).chi_predicted
-        if kind in ("chunglu-times", "chunglu-plus"):
-            return predict_chung_lu(spec["u"], float(spec["p"]),
-                                    kind.removeprefix("chunglu-")
-                                    ).chi_predicted
-    except (ModelError, GuardError):
-        pass
-    return None
+            p = float(spec["p"])
+            inst = blow_up_as_model(bspec, p)
+            chi = partial(predict_percolation, bspec, p)
+        else:
+            raise ConfigError(f"unknown model kind {kind!r}")
+        return inst, inst, partial(sample_sbm, inst), chi
+    except (ModelError, ConfigError):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {kind!r} model spec: "
+                          f"{type(exc).__name__}: {exc}") from exc
+
+
+def _sample_union(sample1: Callable, sample2: Callable, seed: int):
+    """One draw of a union-sbm: its two parts, drawn independently."""
+    return union_graphs(sample1(derive_seed(seed, 1)),
+                        sample2(derive_seed(seed, 2)))
 
 
 @dataclass(frozen=True)
 class _GridPoint:
-    """What every row of one grid point shares, built once per point."""
+    """What every row of one grid point shares, from one read of its spec."""
 
     params: dict
-    spec: dict
-    parts: tuple                    # the instances graphs are sampled from
+    sample: Callable                # row seed -> graph; pickles for workers
     model: Optional[ModelInstance]  # the colouring model; None if none
     preds: dict                     # the prediction columns
     system: Union[Decomposition, GuardError, None]  # the extraction system
@@ -250,15 +238,19 @@ class _GridPoint:
 
 
 def _grid_point(params: dict, spec: dict, cfg: ExperimentConfig) -> _GridPoint:
-    """The replicate-independent part of a grid point's rows.  One w* solve
-    serves the block model's chi predictions and the extraction system.
+    """The replicate-independent part of a grid point's rows, from one
+    `_models` read of its spec; a ModelError or GuardError from the chi
+    formula leaves `chi_pred_model` empty.  One w* solve serves the block
+    model's chi predictions and the extraction system.
     The system is None when no row extracts, and the solve's GuardError
     when the model is too large for it; then the w*-based predictions stay
     empty and, when the point predicts, its rows record `wstar_guard[...]`.
     """
-    inst, model, parts = _models(spec)
+    inst, model, sample, chi_formula = _models(spec)
     preds = dict.fromkeys(_PRED_COLS)
-    preds["chi_pred_model"] = _model_prediction(spec)
+    if chi_formula is not None:
+        with suppress(ModelError, GuardError):
+            preds["chi_pred_model"] = chi_formula().chi_predicted
     if model is not None:
         preds["edges_pred"] = model.expected_edges()
         norm = model.sizes.norm
@@ -289,7 +281,7 @@ def _grid_point(params: dict, spec: dict, cfg: ExperimentConfig) -> _GridPoint:
                 pred = predict_sbm(inst, real.w_sum)
                 preds["chi_pred_qstar"] = pred.chi_qstar_form
                 preds["chi_pred_sigma"] = pred.chi_sigma_form
-    return _GridPoint(params, spec, parts, model, preds, system, status)
+    return _GridPoint(params, sample, model, preds, system, status)
 
 
 @dataclass
@@ -341,7 +333,7 @@ def _measure_row(cfg: ExperimentConfig, point_idx: int, replicate: int,
     t0 = time.perf_counter()
     status: list[str] = list(point.status)
     values: dict = {}
-    g = _sample(point.spec, point.parts, seed)
+    g = point.sample(seed)
     inst, system = point.model, point.system
     if "edge_count" in cfg.measures:
         values["edge_count"] = float(g.m)

@@ -25,6 +25,7 @@ __all__ = [
     "blow_up_as_model",
     "chung_lu_model",
     "check_chung_lu",
+    "chung_lu_probs",
     "sample_chung_lu",
     "union_graphs",
 ]
@@ -352,19 +353,21 @@ def check_chung_lu(u: Sequence[float], p: float, kind: str) -> np.ndarray:
     return uv
 
 
+def chung_lu_probs(u: Sequence[float], p: float, kind: str) -> np.ndarray:
+    """Pair probabilities p*(u_a*u_b) or p*(u_a+u_b), symmetric bit for bit."""
+    uv = check_chung_lu(u, p, kind)
+    return p * (np.multiply if kind == "times" else np.add).outer(uv, uv)
+
+
 def sample_chung_lu(u: Sequence[float], p: float, kind: str,
                     seed: int) -> SbmGraph:
-    """Exact (unbucketed) sampler: pair {a,b} appears with p*u_a*u_b or
+    """Exact (unbucketed) sampler: pair {a,b} appears with p*(u_a*u_b) or
     p*(u_a+u_b).  Every vertex is its own block in the provenance."""
-    uv = check_chung_lu(u, p, kind)
-    n = uv.size
-    if kind == "times":
-        probs = np.outer(p * uv, uv)  # (p u_a) u_b, the per-pair product order
-    else:
-        probs = p * np.add.outer(uv, uv)
+    probs = chung_lu_probs(u, p, kind)
+    n = probs.shape[0]
     edges = _sample_pairs(probs, seed)
     prov = {"kind": f"chunglu-{kind}", "p": float(p), "seed": int(seed),
-            "u": [float(v) for v in uv], "k": n}
+            "u": [float(v) for v in u], "k": n}
     return SbmGraph(n, np.arange(n), edges, provenance=prov, k=n)
 
 

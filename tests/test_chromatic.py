@@ -193,6 +193,14 @@ class TestIndependenceProbability:
             rhs = -2.0 * lnp + float(np.diag(m.q.entries) @ b)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
+    @pytest.mark.parametrize("block_of", [[0, 1, 2], [0, -1, 1]])
+    def test_block_index_outside_model(self, block_of):
+        m = ModelInstance(BlockVector.integral([2, 1]),
+                          ProbMatrix([[0.5, 0.2], [0.2, 0.4]]))
+        with pytest.raises(ModelError, match="block index"):
+            independent_set_probability(m, [0, 1, 2],
+                                        block_of=np.array(block_of))
+
 
 class TestAlphaH:
     def test_edgeless_block_takes_everything(self):
@@ -310,6 +318,19 @@ class TestAlphaH:
         g = sample_sbm(m, 9)
         assert alpha_h(m, g, "exact").nodes > 0
         assert alpha_h(m, g, "heuristic").nodes == 0
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic", "exact-first"])
+    @pytest.mark.parametrize("model_k, graph_k", [(2, 3), (3, 2)])
+    def test_model_and_graph_blocks_must_match(self, mode, model_k, graph_k):
+        # a 3-block model on a 2-block graph used to score h with the
+        # model's first two blocks; the other way round it hit IndexError
+        p = [[0.3 if i == j else 0.6 for j in range(model_k)]
+             for i in range(model_k)]
+        m = ModelInstance(BlockVector.integral([2] * model_k), ProbMatrix(p))
+        g = SbmGraph(2 * graph_k, np.repeat(np.arange(graph_k), 2),
+                     [(0, 2)], k=graph_k)
+        with pytest.raises(ModelError, match="dimension mismatch"):
+            alpha_h(m, g, mode)
 
     def test_unknown_mode(self):
         m = ModelInstance.gnp(3, 0.5)

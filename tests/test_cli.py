@@ -12,6 +12,9 @@ def run_cli(capsys, *argv):
     return code, json.loads(out) if out.strip() else None
 
 
+_SBM_PART = {"kind": "sbm", "sizes": [4, 3], "P": [[0.5, 0.2], [0.2, 0.6]]}
+
+
 @pytest.fixture
 def model_file(tmp_path):
     path = tmp_path / "model.json"
@@ -221,6 +224,27 @@ class TestExperimentCommand:
                      "--out", str(tmp_path / "rep.csv")]) == 2
         assert capsys.readouterr().err == (
             "error: unknown config keys ['bogus']\n")
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "union-sbm", "of": [_SBM_PART]},
+        {"kind": "union-sbm", "of": [_SBM_PART] * 3},
+        {"kind": "union-sbm"},
+        {"kind": "gnp", "p": 0.5},
+        {"kind": "sbm", "sizes": [4, 4]},
+        {"kind": "blowup-percolate", "k": 2, "sizes": [3, 3], "p": 0.5},
+        {"kind": "chunglu-times", "p": 0.5},
+        {"kind": "gnp", "n": 12, "p": "abc"},
+        {"kind": "sbm", "sizes": ["a", 3], "P": _SBM_PART["P"]},
+    ])
+    def test_malformed_model_spec_is_an_error(self, tmp_path, capsys, model):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model, "replicates": 1,
+                                   "base_seed": 4}))
+        assert main(["experiment", "--config", str(cfg),
+                     "--out", str(tmp_path / "rep.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and model["kind"] in err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_union_of_non_block_parts_is_an_error(self, tmp_path, capsys):
         part = {"kind": "chunglu-times", "u": [0.5] * 6, "p": 0.4}

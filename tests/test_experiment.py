@@ -6,12 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from sbmchroma import chromatic, experiment, functionals
+from sbmchroma import chromatic, experiment, functionals, graphs
 from sbmchroma.chromatic import alpha_h
 from sbmchroma.experiment import (ConfigError, ExperimentConfig, emit_plotdata,
                                   run_experiment)
 from sbmchroma.functionals import w_star_solve
-from sbmchroma.graphs import sample_sbm
+from sbmchroma.graphs import BlowUpSpec, sample_sbm
 from sbmchroma.model import BlockVector, ModelError, ModelInstance, ProbMatrix
 from sbmchroma.seeds import derive_seed, mix_seed
 
@@ -147,6 +147,7 @@ class TestConfigValidation:
         ({"kind": "sbm", "sizes": [4, 4, 4], "P": [[0.3] * 3] * 3}, "P.-1.0"),
         ({"kind": "sbm", "sizes": [4, 4, 4], "P": [[0.3] * 3] * 3}, "P.0.3"),
         ({"kind": "gnp", "n": 14, "p": 0.5}, "p12"),
+        ({"kind": "gnp", "n": 14, "p": 0.5}, "kind"),
     ])
     def test_rejects_bad_sweep_param(self, tmp_path, model, param):
         cfg = ExperimentConfig.from_dict(base_config(
@@ -519,6 +520,40 @@ class TestRunExperiment:
         rows = run_experiment(cfg, str(tmp_path / "r.csv"))
         assert len(rows) == 6
         assert calls == [10, 12]
+
+    def test_one_spec_read_per_grid_point(self, tmp_path, monkeypatch):
+        # the chi formula reuses the template that the model was built from
+        calls = []
+        from_edges = BlowUpSpec.from_edges
+
+        def counting(k, h_edges, sizes):
+            calls.append(k)
+            return from_edges(k, h_edges, sizes)
+        monkeypatch.setattr(BlowUpSpec, "from_edges", staticmethod(counting))
+        cfg = ExperimentConfig.from_dict(KIND_CONFIGS["blowup-percolate"])
+        rows = run_experiment(cfg, str(tmp_path / "r.csv"))
+        assert len(rows) == 6
+        assert calls == [3, 3, 3]
+
+    @pytest.mark.parametrize("model", [
+        dict(KIND_CONFIGS["chunglu-times"]["model"], p=p)
+        for p in (0.05, 0.6, 0.9)] + [KIND_CONFIGS["chunglu-plus"]["model"]])
+    def test_chung_lu_draws_with_the_colouring_models_matrix(self,
+                                                             monkeypatch,
+                                                             model):
+        # alpha_h and extraction weigh pairs by the colouring model, so the
+        # graph must be drawn from the same probabilities, bit for bit
+        seen = []
+        sample_pairs = graphs._sample_pairs
+
+        def capture(probs, seed):
+            seen.append(probs)
+            return sample_pairs(probs, seed)
+        monkeypatch.setattr(graphs, "_sample_pairs", capture)
+        _, coloured, sample, _ = experiment._models(model)
+        sample(7)
+        assert len(seen) == 1
+        assert seen[0].tobytes() == coloured.probs.entries.tobytes()
 
     @pytest.mark.parametrize("model, sweep", [
         ({"kind": "sbm", "sizes": [5, 5, 5],
