@@ -20,7 +20,7 @@ from . import graphs as gr
 from . import predictions as pred
 from .experiment import (ConfigError, ExperimentConfig, emit_plotdata,
                          run_experiment)
-from .model import BlockVector, ModelError, ModelInstance
+from .model import BlockVector, ModelError, ModelInstance, read_json
 
 __all__ = ["main"]
 
@@ -31,19 +31,27 @@ def _emit(payload: dict) -> None:
 
 
 def _load_blowup_spec(path: str) -> gr.BlowUpSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return gr.BlowUpSpec.from_edges(int(data["k"]), data.get("h_edges", []),
-                                    data["sizes"])
+    data = read_json(path)
+    try:
+        return gr.BlowUpSpec.from_edges(int(data["k"]), data.get("h_edges", []),
+                                        data["sizes"])
+    except ModelError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"malformed blow-up spec {path}: {exc}") from exc
 
 
 def _parse_u(args) -> list[float]:
     if args.u_file:
-        with open(args.u_file, "r", encoding="utf-8") as fh:
-            return [float(v) for v in json.load(fh)]
-    if args.u:
-        return [float(v) for v in args.u.split(",")]
-    raise ModelError("provide --u or --u-file")
+        raw = read_json(args.u_file)
+    elif args.u:
+        raw = args.u.split(",")
+    else:
+        raise ModelError("provide --u or --u-file")
+    try:
+        return [float(v) for v in raw]
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"u weights must be numbers: {exc}") from exc
 
 
 def _cmd_gen(args) -> None:

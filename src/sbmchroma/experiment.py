@@ -28,7 +28,8 @@ from .functionals import (Decomposition, GuardError, round_integer_system,
                           w_star_solve)
 from .graphs import (BlowUpSpec, blow_up_as_model, chung_lu_probs,
                      sample_chung_lu, sample_sbm, union_graphs, union_model)
-from .model import BlockVector, ModelError, ModelInstance, ProbMatrix, q_star
+from .model import (BlockVector, ModelError, ModelInstance, ProbMatrix, q_star,
+                    read_json)
 from .predictions import (predict_chung_lu, predict_gnp, predict_percolation,
                           predict_sbm, predict_two_block, sigma_estimate)
 from .seeds import derive_seed, mix_seed
@@ -74,6 +75,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("an experiment config must be a JSON object")
         unknown = sorted(set(data) - set(_READ))
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}")
@@ -86,8 +89,7 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path, ConfigError))
 
     def validate(self) -> None:
         kind = self.model.get("kind")

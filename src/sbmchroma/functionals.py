@@ -695,17 +695,13 @@ def round_integer_system(real: Decomposition, q: QMatrix) -> Decomposition:
                     parts[best_t][i] += 1
         return parts
 
-    def sum_w(parts: list[np.ndarray]) -> float:
-        if not parts:
-            return 0.0
-        return float(_w_batch(np.asarray(parts, dtype=np.float64), qm).sum())
-
     candidates: list[list[np.ndarray]] = [
         greedy_round([p.values for p in real.parts]),
         [xi * (np.arange(k) == i) for i in range(k) if xi[i] > 0],  # singletons
         [xi.copy()],                                                # one part
     ]
-    best_val, best_idx = min((sum_w(c), idx) for idx, c in enumerate(candidates))
+    best_val, best_idx = min((_w_sum(c, qm), idx)
+                             for idx, c in enumerate(candidates))
     parts = [BlockVector(p, integer=True) for p in candidates[best_idx]]
     dec = Decomposition(parts=parts, target=x, w_sum=best_val,
                         method="integer-greedy")

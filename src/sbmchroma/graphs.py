@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import BlockVector, ModelError, ModelInstance, ProbMatrix
+from .model import (BlockVector, ModelError, ModelInstance, ProbMatrix,
+                    read_json)
 from .seeds import rng_from_seed
 
 __all__ = [
@@ -38,7 +39,7 @@ class SbmGraph:
     u < v in lexicographic order, read with numpy masks by every operation.
     Immutable after construction.  The one adjacency structure, the
     per-vertex neighbour bitsets that every graph search reads, is packed
-    from `edges` on first use and cached.
+    in the constructor from the same boolean matrix that yields `edges`.
     """
 
     __slots__ = ("n", "k", "block_of", "edges", "provenance", "_adj_bits")
@@ -68,14 +69,15 @@ class SbmGraph:
             if u[first] == v[first]:
                 raise ModelError(f"self-loop at vertex {int(u[first])}")
             raise ModelError(f"edge ({int(u[first])},{int(v[first])}) out of range")
-        # one key per unordered pair; sorted keys are sorted (lo, hi) pairs
-        keys = np.sort(lo * n + hi)
-        keys = keys[np.diff(keys, prepend=-1) > 0]
-        arr = np.column_stack(np.divmod(keys, n))
-        arr.setflags(write=False)
-        self.edges = arr
+        # the upper triangle read row by row: one sorted (lo, hi) per pair
+        mat = np.zeros((self.n, self.n), dtype=bool)
+        mat[lo, hi] = True
+        self.edges = np.argwhere(mat)
+        self.edges.setflags(write=False)
+        rows = np.packbits(mat | mat.T, axis=1, bitorder="little")
+        self._adj_bits = [int.from_bytes(row.tobytes(), "little")
+                          for row in rows]
         self.provenance = dict(provenance or {})
-        self._adj_bits = None
 
     # --- derived views -----------------------------------------------------
 
@@ -92,13 +94,6 @@ class SbmGraph:
     def adjacency_bits(self) -> list[int]:
         """Per-vertex neighbour bitsets (python ints): bit v of entry u is
         set when uv is an edge."""
-        if self._adj_bits is None:
-            mat = np.zeros((self.n, self.n), dtype=bool)
-            u, v = self.edges[:, 0], self.edges[:, 1]
-            mat[u, v] = mat[v, u] = True
-            rows = np.packbits(mat, axis=1, bitorder="little")
-            self._adj_bits = [int.from_bytes(row.tobytes(), "little")
-                              for row in rows]
         return self._adj_bits
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -158,11 +153,11 @@ class SbmGraph:
     def from_json_dict(cls, data: dict) -> "SbmGraph":
         try:
             n = int(data["n"])
-            blocks = data["blocks"]
+            blocks = np.asarray(data["blocks"], dtype=np.int64)
             edges = data["edges"]
-        except (KeyError, TypeError) as exc:
+            prov = dict(data.get("provenance", {}))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"malformed graph JSON: {exc}") from exc
-        prov = data.get("provenance", {})
         return cls(n, blocks, edges, provenance=prov, k=prov.get("k"))
 
     def save(self, path) -> None:
@@ -172,8 +167,7 @@ class SbmGraph:
 
     @classmethod
     def load(cls, path) -> "SbmGraph":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(read_json(path))
 
     def __repr__(self):
         return f"SbmGraph(n={self.n}, m={self.m}, k={self.k})"
@@ -296,12 +290,12 @@ def _bucket_index(values: np.ndarray, buckets: int) -> np.ndarray:
 
 def _chung_lu_weights(u: Sequence[float]) -> np.ndarray:
     """Chung-Lu weights as a float vector; ModelError unless u is a
-    nonempty 1-D vector with entries in [0, 1].  Each caller adds its own
-    rule for p."""
+    nonempty 1-D vector with entries in [0, 1] (so no NaN).  Each caller
+    adds its own rule for p."""
     uv = np.asarray(u, dtype=np.float64)
     if uv.ndim != 1 or uv.size == 0:
         raise ModelError("u must be a nonempty vector")
-    if np.any(uv < 0.0) or np.any(uv > 1.0):
+    if not np.all((uv >= 0.0) & (uv <= 1.0)):
         raise ModelError("u components must lie in [0, 1]")
     return uv
 

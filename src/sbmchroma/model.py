@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "ModelError",
+    "read_json",
     "ProbMatrix",
     "QMatrix",
     "BlockVector",
@@ -29,6 +30,16 @@ __all__ = [
 
 class ModelError(ValueError):
     """Invalid model data (asymmetric matrix, probability out of range, ...)."""
+
+
+def read_json(path, error: type[ValueError] = ModelError):
+    """Contents of the JSON file at `path`; `error`, naming the file, when
+    the file does not hold valid JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _as_square(entries) -> np.ndarray:
@@ -228,7 +239,9 @@ class ModelInstance:
             k = int(data["k"])
             sizes = BlockVector.integral(data["sizes"])
             probs = ProbMatrix(data["P"])
-        except (KeyError, TypeError) as exc:
+        except ModelError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"malformed model JSON: {exc}") from exc
         if sizes.k != k or probs.k != k:
             raise ModelError("model JSON: 'k' disagrees with sizes/P dimensions")
@@ -241,8 +254,7 @@ class ModelInstance:
 
     @classmethod
     def load(cls, path) -> "ModelInstance":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(read_json(path))
 
     @classmethod
     def gnp(cls, n: int, p: float) -> "ModelInstance":

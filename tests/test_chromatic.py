@@ -33,6 +33,13 @@ PETERSEN = SbmGraph(10, [0] * 10,
                      (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)], k=1)
 
 
+def messy_graph(n, seed):
+    """Graph from a random pair list with duplicated and reversed pairs."""
+    u, v = np.random.default_rng(seed).integers(0, n, (2, 4 * n))
+    pairs = np.column_stack((u, v))[u != v]
+    return SbmGraph(n, [0] * n, np.vstack([pairs, pairs[::2, ::-1]]), k=1)
+
+
 def brute_force_chromatic(g: SbmGraph) -> int:
     """Independent oracle: try all assignments with c colours, c ascending."""
     for c in range(1, g.n + 1):
@@ -832,6 +839,8 @@ class TestAdjacencyMatrix:
         SbmGraph(1, [0], [], k=1),
         sample_sbm(ModelInstance.gnp(70, 0.3), 5),   # rows past one word
         sample_sbm(ModelInstance.gnp(9, 0.6), 2),    # rows past one byte
+        messy_graph(65, 1),                          # duplicated, reversed
+        messy_graph(129, 2),
     ])
     def test_matches_bitsets(self, g):
         by_edge = [0] * g.n  # the bitsets built edge by edge

@@ -255,3 +255,37 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(cfg),
                      "--out", str(tmp_path / "rep.csv")]) == 2
         assert "'chunglu-times'" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    """A malformed file or flag is reported as `error:` with exit code 2 by
+    the reader that meets it, not as a traceback."""
+
+    @pytest.mark.parametrize("text, argv", [
+        (None, ["predict", "--theorem", "chunglu-times", "--u", "0.5,abc",
+                "--p", "0.5"]),
+        ('{"k": 1, "sizes": [4], "P": [["x"]]}',
+         ["solve-w", "--model", "{file}"]),
+        ('{"k": 1, "sizes": [4], "P": [[0.5', ["solve-w", "--model", "{file}"]),
+        ('{"model": {"kind": "gnp", "n": 8',
+         ["experiment", "--config", "{file}", "--out", "{out}"]),
+        ('{"sizes": [2, 3], "h_edges": [[0, 1]]}',
+         ["gen", "--model", "blowup", "--spec-file", "{file}",
+          "--out", "{out}"]),
+        ('{"n": 3, "blocks": ["a", "b", "c"], "edges": []}',
+         ["chromatic", "--graph", "{file}", "--method", "dsatur"]),
+        ('{"n": 2, "blocks": [0, 0], "edges": [], "provenance": 5}',
+         ["chromatic", "--graph", "{file}", "--method", "dsatur"]),
+        ("5", ["experiment", "--config", "{file}", "--out", "{out}"]),
+    ], ids=["u-not-a-number", "P-string", "truncated-model",
+            "truncated-config", "spec-without-k", "string-blocks",
+            "provenance-not-an-object", "config-not-an-object"])
+    def test_is_an_error(self, tmp_path, capsys, text, argv):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "out.json"
+        code = main([a.format(file=path, out=out) for a in argv])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()

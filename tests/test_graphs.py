@@ -153,6 +153,21 @@ class TestSbmGraph:
         with pytest.raises(ValueError):
             g.edges[0, 0] = 1
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 129, 200])
+    def test_edges_canonical_on_messy_pair_lists(self, n):
+        rng = np.random.default_rng(n)
+        u, v = rng.integers(0, max(n, 1), (2, 3 * n))
+        pairs = np.column_stack((u, v))[u != v]
+        # every pair again reversed, and a third of them a third time
+        pairs = np.vstack([pairs, pairs[:, ::-1], pairs[: len(pairs) // 3]])
+        rng.shuffle(pairs)
+        g = SbmGraph(n, [0] * n, pairs, k=1)
+        expected = sorted({(min(a, b), max(a, b)) for a, b in pairs.tolist()})
+        assert g.edges.dtype == np.int64 and g.edges.shape == (len(expected), 2)
+        assert [tuple(e) for e in g.edges.tolist()] == expected
+        with pytest.raises(ValueError):
+            g.edges[...] = 0
+
     def test_has_edge(self):
         g = SbmGraph(3, [0] * 3, [(0, 2)], k=1)
         assert g.has_edge(0, 2) and g.has_edge(2, 0)
@@ -292,7 +307,7 @@ class TestChungLuWeights:
     bad `u` with one and the same error."""
 
     @pytest.mark.parametrize("u", [[[0.2, 0.3], [0.4, 0.5]], [], [0.2, -0.1],
-                                   [0.5, 1.5]])
+                                   [0.5, 1.5], [0.5, math.nan]])
     def test_same_error_everywhere(self, u):
         messages = []
         for call in (lambda: check_chung_lu(u, 0.3, "times"),
