@@ -61,14 +61,7 @@ class SbmGraph:
         block_arr.setflags(write=False)
         self.block_of = block_arr
 
-        u, v = _as_pairs(edges).T
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        bad = (lo == hi) | (lo < 0) | (hi >= n)
-        if bad.any():
-            first = int(np.argmax(bad))
-            if u[first] == v[first]:
-                raise ModelError(f"self-loop at vertex {int(u[first])}")
-            raise ModelError(f"edge ({int(u[first])},{int(v[first])}) out of range")
+        lo, hi = _ordered_pairs(edges, n)
         # the upper triangle read row by row: one sorted (lo, hi) per pair
         mat = np.zeros((self.n, self.n), dtype=bool)
         mat[lo, hi] = True
@@ -199,9 +192,7 @@ class BlowUpSpec:
 
     @classmethod
     def from_edges(cls, k: int, h_edges, sizes) -> "BlowUpSpec":
-        i, j = _as_pairs(h_edges).T
-        if np.any(i == j):
-            raise ModelError("H must have no self-loops")
+        i, j = _ordered_pairs(h_edges, k)
         adj = np.zeros((k, k), dtype=np.int64)
         adj[i, j] = adj[j, i] = 1
         return cls(adj, BlockVector(sizes, integer=True))
@@ -223,6 +214,20 @@ def _as_pairs(edges) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _ordered_pairs(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`edges` as (lo, hi) index arrays with lo < hi; ModelError naming the
+    first self-loop or pair with an endpoint outside [0, n)."""
+    u, v = _as_pairs(edges).T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = (lo == hi) | (lo < 0) | (hi >= n)
+    if bad.any():
+        first = int(np.argmax(bad))
+        if u[first] == v[first]:
+            raise ModelError(f"self-loop at vertex {int(u[first])}")
+        raise ModelError(f"edge ({int(u[first])},{int(v[first])}) out of range")
+    return lo, hi
+
+
 def _block_of_from_sizes(sizes: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(sizes.size), sizes.astype(np.int64))
 
@@ -231,9 +236,11 @@ def _sample_pairs(probs: np.ndarray, seed: int) -> np.ndarray:
     """Edges of one draw in which pair {u, v} appears independently with
     probability probs[u, v]: one uniform per pair u < v, all from one
     `random` call in lexicographic pair order."""
-    u, v = np.triu_indices(probs.shape[0], 1)
-    hit = rng_from_seed(seed).random(u.size) < probs[u, v]
-    return np.column_stack((u[hit], v[hit]))
+    pairs = ~np.tri(probs.shape[0], dtype=bool)  # u < v, read row by row
+    hit = np.zeros_like(pairs)
+    draws = probs[pairs]
+    hit[pairs] = rng_from_seed(seed).random(draws.size) < draws
+    return np.argwhere(hit)
 
 
 def sample_sbm(m: ModelInstance, seed: int) -> SbmGraph:
@@ -288,69 +295,56 @@ def _bucket_index(values: np.ndarray, buckets: int) -> np.ndarray:
     return np.clip(idx, 1, buckets)
 
 
-def _chung_lu_weights(u: Sequence[float]) -> np.ndarray:
-    """Chung-Lu weights as a float vector; ModelError unless u is a
-    nonempty 1-D vector with entries in [0, 1] (so no NaN).  Each caller
-    adds its own rule for p."""
+def check_chung_lu(u: Sequence[float], p: float,
+                   kind: str) -> tuple[np.ndarray, np.ufunc]:
+    """The one validity rule for Chung-Lu parameters: u a nonempty vector
+    in [0, 1], kind 'times' or 'plus', 0 < p < 1 (so no NaN), and for
+    'plus' every pair probability p*(u_a+u_b), a != b, below 1.  Returns u
+    as a float vector and the kind's pair operator (np.multiply or np.add);
+    each caller adds only its own rule."""
     uv = np.asarray(u, dtype=np.float64)
     if uv.ndim != 1 or uv.size == 0:
         raise ModelError("u must be a nonempty vector")
     if not np.all((uv >= 0.0) & (uv <= 1.0)):
         raise ModelError("u components must lie in [0, 1]")
-    return uv
+    op = {"times": np.multiply, "plus": np.add}.get(kind)
+    if op is None:
+        raise ModelError(f"unknown Chung-Lu kind {kind!r}")
+    if not 0.0 < p < 1.0:
+        raise ModelError("Chung-Lu p must lie in (0, 1)")
+    if op is np.add and uv.size >= 2:
+        top = p * np.sort(uv)[-2:].sum()
+        if top >= 1.0:
+            raise ModelError("plus kind pairwise probability reaches "
+                             f"{top:.3f} >= 1")
+    return uv, op
 
 
 def chung_lu_model(u: Sequence[float], p: float, kind: str,
                    buckets: int) -> tuple[ModelInstance, ModelInstance]:
     """Bucketed block-model sandwich (lower, upper) for the exact pairwise
     probabilities p*u_a*u_b ('times') or p*(u_a+u_b) ('plus')."""
-    uv = _chung_lu_weights(u)
+    uv, op = check_chung_lu(u, p, kind)
+    if op is np.add and not p < 0.5:
+        raise ModelError("plus kind needs p in (0, 1/2): the top bucket "
+                         "pair probability p*(i+j)/k reaches 2p")
     if buckets < 1:
         raise ModelError("buckets must be >= 1")
     kk = buckets
-    if kind == "times":
-        if not 0.0 < p < 1.0:
-            raise ModelError("times kind needs p in (0, 1)")
-        ij = np.arange(1, kk + 1, dtype=np.float64)
-        lower = p * np.outer(ij - 1, ij - 1) / kk ** 2
-        upper = p * np.outer(ij, ij) / kk ** 2
-    elif kind == "plus":
-        if not 0.0 < p < 0.5:
-            raise ModelError("plus kind needs p in (0, 1/2): the top bucket "
-                             "pair probability p*(i+j)/k reaches 2p")
-        ij = np.arange(1, kk + 1, dtype=np.float64)
-        lower = p * ((ij - 1)[:, None] + (ij - 1)[None, :]) / kk
-        upper = p * (ij[:, None] + ij[None, :]) / kk
-    else:
-        raise ModelError(f"unknown Chung-Lu kind {kind!r}")
+    ij = np.arange(1, kk + 1, dtype=np.float64)
+    scale = kk ** 2 if op is np.multiply else kk
+    lower = p * op.outer(ij - 1, ij - 1) / scale
+    upper = p * op.outer(ij, ij) / scale
     counts = np.bincount(_bucket_index(uv, kk) - 1, minlength=kk)
     sizes = BlockVector(counts, integer=True)
     return (ModelInstance(sizes, ProbMatrix(lower)),
             ModelInstance(sizes, ProbMatrix(upper)))
 
 
-def check_chung_lu(u: Sequence[float], p: float, kind: str) -> np.ndarray:
-    """Validate exact Chung-Lu parameters; returns u as a float array.
-
-    Raises ModelError unless every pair probability lies in [0, 1)."""
-    uv = _chung_lu_weights(u)
-    if kind == "times":
-        if not 0.0 < p < 1.0:
-            raise ModelError("times kind needs p in (0, 1)")
-    elif kind == "plus":
-        top = p * (np.sort(uv)[-2:].sum()) if uv.size >= 2 else 0.0
-        if p <= 0.0 or top >= 1.0:
-            raise ModelError("plus kind pairwise probability reaches "
-                             f"{top:.3f} >= 1")
-    else:
-        raise ModelError(f"unknown Chung-Lu kind {kind!r}")
-    return uv
-
-
 def chung_lu_probs(u: Sequence[float], p: float, kind: str) -> np.ndarray:
     """Pair probabilities p*(u_a*u_b) or p*(u_a+u_b), symmetric bit for bit."""
-    uv = check_chung_lu(u, p, kind)
-    return p * (np.multiply if kind == "times" else np.add).outer(uv, uv)
+    uv, op = check_chung_lu(u, p, kind)
+    return p * op.outer(uv, uv)
 
 
 def sample_chung_lu(u: Sequence[float], p: float, kind: str,

@@ -44,6 +44,8 @@ def read_json(path, error: type[ValueError] = ModelError):
 
 def _as_square(entries) -> np.ndarray:
     arr = np.asarray(entries, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ModelError("matrix entries must be finite")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ModelError(f"expected a nonempty square matrix, got shape {arr.shape}")
     return arr
@@ -85,8 +87,8 @@ class QMatrix:
         arr = _as_square(entries)
         if not np.allclose(arr, arr.T, rtol=0.0, atol=0.0):
             raise ModelError("Q matrix must be symmetric")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ModelError("Q entries must be finite and nonnegative")
+        if np.any(arr < 0.0):
+            raise ModelError("Q entries must be nonnegative")
         arr.setflags(write=False)
         self.entries = arr
         self.k = arr.shape[0]

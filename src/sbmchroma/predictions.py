@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .functionals import w_star_solve
-from .graphs import BlowUpSpec, _chung_lu_weights
+from .graphs import BlowUpSpec, check_chung_lu
 from .model import (BlockVector, ModelError, ModelInstance, ProbMatrix,
                     QMatrix, build_q, log_factor, q_star)
 
@@ -230,21 +230,15 @@ def prefix_quadratic_max(u: Sequence[float]) -> float:
 def predict_chung_lu(u: Sequence[float], p: float, kind: str) -> Prediction:
     """times: (p / (2 ln(pn))) max_U (sum u)^2/|U|;
     plus:  (p / ln(pn)) sum_i u_i.  sigma = -ln(p)/ln(n)."""
-    uv = _chung_lu_weights(u)
+    uv, op = check_chung_lu(u, p, kind)
+    if op is np.add and p > 0.5:
+        raise ModelError("plus kind needs p in (0, 1/2]")
     if uv.sum() <= 0.0:
         raise ModelError("sum of u must be positive")
     n = uv.size
-    if kind == "times":
-        if not 0.0 < p < 1.0:
-            raise ModelError("times kind needs p in (0, 1)")
-    elif kind == "plus":
-        if not 0.0 < p <= 0.5:
-            raise ModelError("plus kind needs p in (0, 1/2]")
-    else:
-        raise ModelError(f"unknown Chung-Lu kind {kind!r}")
     if p * n <= 1.0:
         raise ModelError("prediction needs pn > 1")
-    if kind == "times":
+    if op is np.multiply:
         chi = p / (2.0 * math.log(p * n)) * prefix_quadratic_max(uv)
     else:
         chi = p / math.log(p * n) * float(uv.sum())

@@ -277,9 +277,27 @@ class TestMalformedInput:
         ('{"n": 2, "blocks": [0, 0], "edges": [], "provenance": 5}',
          ["chromatic", "--graph", "{file}", "--method", "dsatur"]),
         ("5", ["experiment", "--config", "{file}", "--out", "{out}"]),
+        (None, ["gen", "--model", "chunglu-plus", "--u", "0.5,0.5,0.7",
+                "--p", "nan", "--out", "{out}"]),
+        ('{"model": {"kind": "chunglu-plus", "u": [0.5, 0.6, 0.7, 0.8], '
+         '"p": NaN}, "replicates": 2, "base_seed": 5, '
+         '"chi_methods": ["dsatur"], "measures": ["chi", "edge_count"]}',
+         ["experiment", "--config", "{file}", "--out", "{out}"]),
+        ('{"k": 3, "sizes": [2, 2, 2], "h_edges": [[0, 5]]}',
+         ["gen", "--model", "blowup", "--spec-file", "{file}",
+          "--out", "{out}"]),
+        ('{"model": {"kind": "blowup-percolate", "k": 3, "sizes": [2, 2, 2], '
+         '"h_edges": [[0, 5]], "p": 0.5}, "replicates": 2, "base_seed": 5, '
+         '"chi_methods": ["dsatur"], "measures": ["chi"]}',
+         ["experiment", "--config", "{file}", "--out", "{out}"]),
+        ('{"k": 1, "sizes": [3], "P": [[NaN]]}',
+         ["solve-w", "--model", "{file}"]),
     ], ids=["u-not-a-number", "P-string", "truncated-model",
             "truncated-config", "spec-without-k", "string-blocks",
-            "provenance-not-an-object", "config-not-an-object"])
+            "provenance-not-an-object", "config-not-an-object",
+            "chunglu-plus-nan-p", "chunglu-plus-nan-p-config",
+            "blowup-edge-outside-k", "blowup-percolate-edge-outside-k",
+            "P-nan"])
     def test_is_an_error(self, tmp_path, capsys, text, argv):
         path = tmp_path / "input.json"
         if text is not None:
@@ -289,3 +307,9 @@ class TestMalformedInput:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    def test_nan_probability_is_named(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text('{"k": 1, "sizes": [3], "P": [[NaN]]}')
+        assert main(["solve-w", "--model", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err

@@ -483,6 +483,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("model", [
         {"kind": "chunglu-times", "u": [0.5, 1.5, 0.2], "p": 0.4},
         {"kind": "chunglu-plus", "u": [0.9, 0.9], "p": 0.6},
+        {"kind": "chunglu-plus", "u": [0.5, 0.6, 0.7, 0.8], "p": float("nan")},
     ])
     def test_bad_chunglu_spec_fails_before_any_row(self, tmp_path,
                                                    monkeypatch, model):

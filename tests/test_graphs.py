@@ -321,6 +321,52 @@ class TestChungLuWeights:
         assert messages[0] in ("u must be a nonempty vector",
                                "u components must lie in [0, 1]")
 
+    @pytest.mark.parametrize("u, p, kind, message", [
+        *[([0.5, 0.6, 0.7], p, kind, "Chung-Lu p must lie in (0, 1)")
+          for p in (math.nan, 0.0, 1.0, -0.1, math.inf)
+          for kind in ("times", "plus")],
+        ([0.1, 0.1], 2.0, "plus", "Chung-Lu p must lie in (0, 1)"),
+        ([0.5, 0.6, 0.7], 0.3, "minus", "unknown Chung-Lu kind 'minus'"),
+        ([1.0, 1.0, 0.2], 0.5, "plus",
+         "plus kind pairwise probability reaches 1.000 >= 1"),
+    ])
+    def test_same_parameter_error_everywhere(self, u, p, kind, message):
+        for call in (lambda: check_chung_lu(u, p, kind),
+                     lambda: sample_chung_lu(u, p, kind, 0),
+                     lambda: chung_lu_model(u, p, kind, buckets=2),
+                     lambda: predict_chung_lu(u, p, kind)):
+            with pytest.raises(ModelError) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_each_entry_point_keeps_its_own_rule(self):
+        u = [0.5, 0.5, 0.5, 0.5]
+        check_chung_lu(u, 0.5, "plus")
+        sample_chung_lu(u, 0.5, "plus", 0)
+        predict_chung_lu(u, 0.5, "plus")
+        with pytest.raises(ModelError, match="top bucket"):
+            chung_lu_model(u, 0.5, "plus", buckets=2)
+        check_chung_lu([0.1] * 4, 0.6, "plus")
+        with pytest.raises(ModelError, match=r"needs p in \(0, 1/2\]"):
+            predict_chung_lu([0.1] * 4, 0.6, "plus")
+        with pytest.raises(ModelError, match="pn > 1"):
+            predict_chung_lu([0.5], 0.3, "times")
+
+    @pytest.mark.parametrize("kind", ["times", "plus"])
+    def test_sandwich_entries_keep_their_bits(self, kind):
+        p, kk = 0.3, 5
+        ij = np.arange(1, kk + 1, dtype=np.float64)
+        if kind == "times":
+            lower = p * np.outer(ij - 1, ij - 1) / kk ** 2
+            upper = p * np.outer(ij, ij) / kk ** 2
+        else:
+            lower = p * ((ij - 1)[:, None] + (ij - 1)[None, :]) / kk
+            upper = p * (ij[:, None] + ij[None, :]) / kk
+        lo, up = chung_lu_model([0.1, 0.45, 0.9], p, kind, buckets=kk)
+        assert np.array_equal(lo.probs.entries, lower)
+        assert np.array_equal(up.probs.entries, upper)
+        assert lo.sizes.values.tolist() == [1, 0, 1, 0, 1]
+
 
 class TestBlowUp:
     def test_single_edge_template_is_complete(self):
@@ -334,6 +380,15 @@ class TestBlowUp:
     def test_unit_sizes_reproduce_template(self):
         g = blow_up(BlowUpSpec.from_edges(3, [[0, 1], [1, 2]], [1, 1, 1]))
         assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+    @pytest.mark.parametrize("h_edges, message", [
+        ([[0, 5]], r"edge \(0,5\) out of range"),
+        ([[0, -1]], r"edge \(0,-1\) out of range"),
+        ([[0, 1], [2, 2]], "self-loop at vertex 2"),
+    ])
+    def test_rejects_template_edge_outside_k(self, h_edges, message):
+        with pytest.raises(ModelError, match=message):
+            BlowUpSpec.from_edges(3, h_edges, [2, 2, 2])
 
     def test_blow_up_quadratic_identity(self):
         # b(U)^T (I + A_H) b(U) == |U| + 2 |E(G[U])| exactly, in integers

@@ -23,6 +23,13 @@ class TestProbMatrix:
         with pytest.raises(ModelError):
             ProbMatrix([[0.1, 0.2], [0.3, 0.1]])
 
+    @pytest.mark.parametrize("cls", [ProbMatrix, QMatrix])
+    def test_rejects_non_finite_by_name(self, cls):
+        for bad in ([[math.nan]], [[0.1, math.nan], [math.nan, 0.1]],
+                    [[math.inf]]):
+            with pytest.raises(ModelError, match="must be finite"):
+                cls(bad)
+
     def test_entries_read_only(self):
         p = ProbMatrix([[0.5]])
         with pytest.raises(ValueError):
