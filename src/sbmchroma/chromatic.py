@@ -161,96 +161,66 @@ def _mad_bruteforce(n: int, adj: list[int]) -> Fraction:
     return Fraction(best_num, best_den)
 
 
-class _Dinic:
-    """Integer-capacity max flow (arc lists; BFS levels + blocking DFS)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head = [-1] * n
-        self.to: list[int] = []
-        self.nxt: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, c: int) -> None:
-        for (a, b, cc) in ((u, v, c), (v, u, 0)):
-            self.to.append(b)
-            self.cap.append(cc)
-            self.nxt.append(self.head[a])
-            self.head[a] = len(self.to) - 1
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                e = self.head[u]
-                while e != -1:
-                    if self.cap[e] > 0 and level[self.to[e]] < 0:
-                        level[self.to[e]] = level[u] + 1
-                        q.append(self.to[e])
-                    e = self.nxt[e]
-            if level[t] < 0:
-                return flow
-            it = list(self.head)
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] != -1:
-                    e = it[u]
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[e]))
-                        if got:
-                            self.cap[e] -= got
-                            self.cap[e ^ 1] += got
-                            return got
-                    it[u] = self.nxt[e]
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 62)
-                if not pushed:
-                    break
-                flow += pushed
-
-    def min_cut_side(self, s: int) -> set[int]:
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            e = self.head[u]
-            while e != -1:
-                v = self.to[e]
-                if self.cap[e] > 0 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
-                e = self.nxt[e]
-        return seen
-
-
 def _densest_improve(n: int, edges: np.ndarray, degs: list[int],
                      g: Fraction) -> Optional[list[int]]:
-    """Vertex set of density strictly above g, or None (Goldberg network)."""
+    """Vertex set of density strictly above g = a/b, or None.
+
+    Goldberg's network: s -> v of capacity b*m, v -> t of capacity
+    b*m + 2a - b*deg(v), and capacity b both ways along each edge.  Dinic's
+    max flow (BFS levels, then a blocking flow by DFS with one arc pointer
+    per vertex) runs until a BFS no longer reaches t.  That BFS visits what
+    s reaches in the residual network of a maximum flow: the smallest
+    source side of a minimum cut, which is s alone exactly when every
+    s-arc is saturated, that is when no set is denser than g.
+    """
     m = edges.shape[0]
     a, b = g.numerator, g.denominator
-    net = _Dinic(n + 2)
     s, t = n, n + 1
-    for v in range(n):
-        net.add_edge(s, v, b * m)
-        net.add_edge(v, t, b * m + 2 * a - b * degs[v])
-    for u, v in edges:
-        net.add_edge(int(u), int(v), b)
-        net.add_edge(int(v), int(u), b)
-    flow = net.max_flow(s, t)
-    if flow >= b * m * n:
-        return None
-    side = net.min_cut_side(s)
-    side.discard(s)
-    return sorted(side) if side else None
+    to: list[int] = []   # arc e goes to to[e]; its twin e ^ 1 comes back
+    cap: list[int] = []
+    arcs: list[list[int]] = [[] for _ in range(n + 2)]
+    for u, v, c, back in ([(s, v, b * m, 0) for v in range(n)]
+                          + [(v, t, b * m + 2 * a - b * d, 0)
+                             for v, d in enumerate(degs)]
+                          + [(u, v, b, b) for u, v in edges.tolist()]):
+        arcs[u].append(len(to))
+        arcs[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (c, back)
+
+    def push(u: int, limit: int) -> int:
+        if u == t:
+            return limit
+        out = arcs[u]
+        while ptr[u] < len(out):
+            e = out[ptr[u]]
+            v = to[e]
+            if cap[e] > 0 and level[v] == level[u] + 1:
+                got = push(v, min(limit, cap[e]))
+                if got:
+                    cap[e] -= got
+                    cap[e ^ 1] += got
+                    return got
+            ptr[u] += 1
+        return 0
+
+    while True:
+        level = [-1] * (n + 2)
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for e in arcs[u]:
+                if cap[e] > 0 and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[t] < 0:
+            break
+        ptr = [0] * (n + 2)
+        while push(s, b * m):
+            pass
+    del push  # push refers to itself through its closure cell
+    return [v for v in range(n) if level[v] >= 0] or None
 
 
 def max_avg_degree(g: SbmGraph) -> Fraction:
@@ -617,8 +587,8 @@ def balanced_extraction_colouring(m: ModelInstance, g: SbmGraph,
        0.8 on failure (down to singletons, which always succeed);
     3. colour whatever remains with DSATUR.
 
-    w(n_rem) is the one-row _w_batch value.  Step 2 searches g's own
-    bitsets, so step 3's is the only subgraph built.
+    w(n_rem) is the _w_batch value.  Step 2 searches g's own bitsets, so
+    step 3's is the only subgraph built.
 
     `system` is the integer system of step 1.  It depends on the model
     only, so graphs sampled from one model can share it; its target must

@@ -414,8 +414,10 @@ def run_experiment(cfg: ExperimentConfig, out_path: str) -> list[ReportRow]:
     cells = [(cfg, idx, replicate, point) for idx, point in enumerate(grid)
              for replicate in range(cfg.replicates)]
 
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # a forked pool starts all its processes at the first submit
+    workers = min(cfg.workers, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_measure_row, *zip(*cells), chunksize=1))
     else:
         rows = [_measure_row(*cell) for cell in cells]

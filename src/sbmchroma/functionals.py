@@ -129,12 +129,15 @@ def _corner_ratios(rows: np.ndarray, qm: np.ndarray):
     corner lo + c (bit j keeps block j) of y = rows[i + r].  Up to
     _FULL_SEARCH_MAX_K blocks that is one product with the cached pair table
     for all rows; above, the table would be too large (134 MB at k = 16),
-    so each row scans its corners alone, 2^16 at a time."""
+    so each row scans its corners alone, 2^16 at a time.  A one-row batch
+    goes through the table doubled: numpy sends a one-row product to BLAS
+    gemv, which rounds differently from the gemm of larger batches."""
     m, k = rows.shape
     if k <= _FULL_SEARCH_MAX_K:
-        outer = rows[:, :, None] * rows[:, None, :] * qm[None, :, :]
-        quad = outer.reshape(m, k * k) @ _pair_masks(k)
-        norms = rows @ _corner_masks(k).T
+        both = np.repeat(rows, 2, axis=0) if m == 1 else rows
+        outer = both[:, :, None] * both[:, None, :] * qm[None, :, :]
+        quad = (outer.reshape(len(both), k * k) @ _pair_masks(k))[:m]
+        norms = (both @ _corner_masks(k).T)[:m]
         yield 0, 0, np.divide(quad, norms, out=np.zeros_like(quad),
                               where=norms > 0.0)
         return
@@ -166,10 +169,9 @@ def _w_batch(rows: np.ndarray, qm: np.ndarray) -> np.ndarray:
 def w_value(x: BlockVector, q: QMatrix) -> CornerSolution:
     """Exact w(x, Q) by enumerating all 2^k corners of the box [0, x].
 
-    The value is the one-row _w_batch value, bit for bit; it can differ in
-    the last bit from the same row in a larger batch (the one-row gemv
-    FOUND note in CHANGES.md).  The maximizer is the corner of smallest,
-    then lexicographically first, support within 1e-12 of the value.
+    The value is the _w_batch value, bit for bit.  The maximizer is the
+    corner of smallest, then lexicographically first, support within 1e-12
+    of the value.
     """
     if x.k != q.k:
         raise ModelError(f"dimension mismatch: x has k={x.k}, Q has k={q.k}")
@@ -297,11 +299,8 @@ def _local_search(rows: np.ndarray, qm: np.ndarray
     w of rows a and b as they now stand.  Each iteration evaluates the
     stale live rows in one _w_batch call and forms the gains in candidate
     order, so argmin and the acceptance test see the numbers a full
-    re-evaluation would.  That holds because _w_batch gives a row the same
-    bits in any batch of two or more rows (a one-row batch takes numpy's
-    matrix-vector path), and a batch here is never one row: a stale live
-    giver brings its n_parts - 1 receivers, and a stale receiver of a or b
-    comes with its twin for the other row.
+    re-evaluation would, because _w_batch gives a row the same bits in
+    any batch.
     """
     n_parts, k = rows.shape
     tol = 1e-12 * max(1.0, float(rows.sum()))
@@ -373,14 +372,14 @@ def _snap_and_repair(rows: np.ndarray, xv: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _light_candidates(xv: np.ndarray, qm: np.ndarray,
-                      rng: np.random.Generator) -> tuple[float, list[np.ndarray]]:
+def _light_candidates(xv: np.ndarray, qm: np.ndarray, rng: np.random.Generator,
+                      one_part: float) -> tuple[float, list[np.ndarray]]:
     """Cheap w* search for large k: canonical systems, greedy merging of
-    singletons, and a sample of support bipartitions."""
+    singletons, and a sample of support bipartitions.  `one_part` is the
+    w-sum of the one-part system [xv], the first one compared."""
     k = xv.size
 
-    best_parts = [xv.copy()]
-    best = _w_sum([xv], qm)
+    best, best_parts = one_part, [xv.copy()]
     cand = [xv * (np.arange(k) == i) for i in range(k) if xv[i] > 0.0]
     cand_vals = _w_batch(np.asarray(cand), qm).tolist()
     if sum(cand_vals) < best:
@@ -466,7 +465,8 @@ def _search_parts(x: BlockVector, q: QMatrix, max_parts: int, restarts: int,
     if is_pseudodefinite(q):
         return best, parts, "pseudodefinite-shortcut", 0, 0
     if x.k > _FULL_SEARCH_MAX_K:
-        val, cand = _light_candidates(xv, qm, rng_from_seed(derive_seed(seed, 0)))
+        val, cand = _light_candidates(xv, qm, rng_from_seed(derive_seed(seed, 0)),
+                                      best)
         if len(cand) <= max_parts:  # only systems within the part budget count
             best, parts = val, cand
         return best, parts, "light-search", 0, 0
@@ -654,8 +654,10 @@ def round_integer_system(real: Decomposition, q: QMatrix) -> Decomposition:
     Floors the parts of the real system, then re-adds every
     rounding-remainder unit to whichever part (or fresh part, while fewer
     than k exist) grows the least; the all-singletons and one-part systems
-    compete as fallbacks.  Depends on the real system only, so one solve
-    can be rounded once and shared.
+    compete as fallbacks.  A pseudodefinite-shortcut system is its one
+    integral part, which no system beats, so it is returned unpriced.
+    Depends on the real system only, so one solve can be rounded once and
+    shared.
     """
     x = real.target
     if not x.is_integer:
@@ -668,6 +670,9 @@ def round_integer_system(real: Decomposition, q: QMatrix) -> Decomposition:
     if xi.sum() == 0:
         return Decomposition(parts=[], target=x, w_sum=0.0,
                              method="integer-empty")
+    if real.method == "pseudodefinite-shortcut":
+        return Decomposition(parts=[BlockVector(xi, integer=True)], target=x,
+                             w_sum=real.w_sum, method="integer-greedy")
 
     def greedy_round(real_parts: list[np.ndarray]) -> list[np.ndarray]:
         parts = [np.floor(p + 1e-9).astype(np.int64) for p in real_parts]

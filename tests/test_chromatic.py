@@ -127,7 +127,7 @@ class TestMad:
     def test_edgeless(self):
         assert max_avg_degree(SbmGraph(4, [0] * 4, [], k=1)) == Fraction(0)
 
-    def test_flow_path_matches_bruteforce(self):
+    def test_flow_path_matches_bruteforce(self, monkeypatch):
         # same graph through both code paths (padding forces the flow path)
         rng = np.random.default_rng(3)
         for i in range(10):
@@ -138,6 +138,28 @@ class TestMad:
             pad = 22 - n  # isolated vertices leave mad unchanged
             g_big = SbmGraph(22, [0] * 22, edges, k=1)
             assert max_avg_degree(g_big) == max_avg_degree(g_small)
+        # cores of 4-20 vertices, every other one with a planted clique,
+        # padded to one to three bitset words; rounds counts the min cuts
+        rounds, improve = [], chromatic._densest_improve
+
+        def counting(*args):
+            rounds[-1] += 1
+            return improve(*args)
+        monkeypatch.setattr(chromatic, "_densest_improve", counting)
+        rng = np.random.default_rng(30)
+        for i in range(8):
+            n = 20 if i == 0 else int(rng.integers(4, 21))
+            edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < 0.3}
+            if i % 2:
+                clique = sorted(rng.choice(n, min(n, 6), replace=False).tolist())
+                edges |= set(itertools.combinations(clique, 2))
+            want = max_avg_degree(SbmGraph(n, [0] * n, sorted(edges), k=1))
+            for size in (21, 40, 65, 129):
+                rounds.append(0)
+                g = SbmGraph(size, [0] * size, sorted(edges), k=1)
+                assert max_avg_degree(g) == want, (i, size)
+        assert max(rounds) >= 2
 
     def test_chi_at_most_one_plus_floor_mad(self):
         rng = np.random.default_rng(4)

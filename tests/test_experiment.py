@@ -612,6 +612,39 @@ class TestRunExperiment:
                 assert report(base, **{k: v for k, v in changed.items()
                                        if k != name}) != serial, name
 
+    def test_pool_is_capped_by_rows_and_cpus(self, tmp_path, monkeypatch):
+        # a forked pool starts all max_workers processes at once, so the
+        # stand-in records the size asked for and maps serially
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+        out = str(tmp_path / "r.csv")
+        serial = run_experiment(ExperimentConfig.from_dict(base_config()), out)
+        for replicates, cap in ((3, 3), (10, 4)):
+            cfg = ExperimentConfig.from_dict(base_config(
+                replicates=replicates, workers=5000))
+            rows = run_experiment(cfg, out)
+            assert asked[-1] == cap
+            assert len(rows) == replicates
+        assert [r.values for r in rows[:2]] == [r.values for r in serial]
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: None)
+        run_experiment(ExperimentConfig.from_dict(base_config(workers=5000)), out)
+        assert len(asked) == 2  # one CPU runs serially
+
     def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig.from_dict(base_config(
             sweep=[{"param": "n", "values": [10, 14]}]))

@@ -136,6 +136,17 @@ class TestCornerEngine:
             one = functionals._w_batch(r[None], q.entries)[0]
             assert one == pytest.approx(b, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_row_has_the_same_bits_alone_and_in_a_batch(self, k):
+        # a one-row product would go to BLAS gemv and round differently
+        rng = np.random.default_rng(1200 + k)
+        q = rand_qmatrix(rng, k)
+        rows = rng.uniform(0, 5, (40, k)) * (rng.random((40, k)) < 0.8)
+        batch = functionals._w_batch(rows, q.entries)
+        for r, b in zip(rows, batch):
+            assert functionals._w_batch(r[None], q.entries)[0] == b
+            assert w_value(BlockVector(r), q).value == b
+
     def test_guard_refuses_before_enumerating(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("corners enumerated past the guard")
@@ -557,6 +568,24 @@ class TestNearOptimalIntegerSystem:
             assert (a.w_sum, a.method) == (b.w_sum, b.method)
             assert ([p.values.tolist() for p in a.parts]
                     == [p.values.tolist() for p in b.parts])
+
+    def test_one_part_system_rounds_to_itself_unpriced(self, monkeypatch):
+        q = QMatrix([[1.0, 0.2, 0.4], [0.2, 0.8, 0.3], [0.4, 0.3, 1.2]])
+        assert is_pseudodefinite(q)
+        x = BlockVector.integral([3, 5, 2])
+        real = w_star_solve(x, q)
+        assert real.method == "pseudodefinite-shortcut"
+        priced, engine = [], functionals._w_batch
+
+        def counting(rows, qm):
+            priced.append(len(rows))
+            return engine(rows, qm)
+        monkeypatch.setattr(functionals, "_w_batch", counting)
+        dec = round_integer_system(real, q)
+        assert priced == []
+        assert [p.values.tolist() for p in dec.parts] == [[3.0, 5.0, 2.0]]
+        assert dec.parts[0].is_integer
+        assert (dec.w_sum, dec.method) == (real.w_sum, "integer-greedy")
 
     def test_rounding_needs_an_integer_target_of_q_dimension(self):
         with pytest.raises(ModelError):
