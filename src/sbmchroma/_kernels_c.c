@@ -380,26 +380,29 @@ static int wis(Wis *s, double fsum, int size, u64 cand, u64 member_mask)
     if ((fsum + c * (size + (c - 1) / 2.0) * s->maxw) / total <= inc
             || (total - 1) * s->maxw / 2.0 <= inc)
         return 1;  /* no set in this subtree strictly beats the incumbent */
-    /* A greedy clique cover of cand: an independent set meets each of its
-     * r classes at most once, so b(r) bounds the subtree too. */
-    int r = 0;
-    u64 rest = cand;
-    while (rest) {
-        r++;
-        if ((fsum + r * (size + (r - 1) / 2.0) * s->maxw) / (size + r) > inc)
-            break;
-        u64 low = rest & -rest;
-        rest ^= low;
-        for (u64 grow = rest & s->adj[__builtin_ctzll(low)]; grow; ) {
-            low = grow & -grow;
-            rest ^= low;
-            grow &= s->adj[__builtin_ctzll(low)];
+    /* A greedy clique cover of cand, built from the top: each class starts
+     * at the highest vertex left, its leader, and takes the highest vertex
+     * adjacent to every member so far.  A class lies at or below its
+     * leader, so r = popcount(leaders >> v) classes meet the candidates
+     * from v up; an independent set meets each class at most once, so b(r)
+     * bounds child v's subtree and every later child's. */
+    u64 leaders = 0;
+    for (u64 rest = cand; rest; ) {
+        int top = 63 - __builtin_clzll(rest);
+        leaders |= (u64)1 << top;
+        rest ^= (u64)1 << top;
+        for (u64 grow = rest & s->adj[top]; grow; ) {
+            top = 63 - __builtin_clzll(grow);
+            rest ^= (u64)1 << top;
+            grow &= s->adj[top];
         }
     }
-    if (rest == 0)
-        return 1;
     for (u64 m = cand; m; ) {
         int v = __builtin_ctzll(m);
+        int r = __builtin_popcountll(leaders >> v);
+        if ((fsum + r * (size + (r - 1) / 2.0) * s->maxw) / (size + r)
+                <= s->best_h)
+            return 1;
         u64 vbit = m & -m;
         m &= m - 1;
         double add = 0.0;

@@ -12,10 +12,11 @@ over the vertices.
 Kernels:
   exact_coloring                 DSATUR-style branch and bound for chi(G)
   best_weighted_independent_set  branch and bound maximizing pair-weight/size,
-                                 pruned by a weighted bound on a greedy
-                                 clique cover of the candidates (the
-                                 colouring bound of max-clique search, on
-                                 the complement)
+                                 pruned before each child by a weighted bound
+                                 on the classes of the node's greedy clique
+                                 cover that meet the candidates from that
+                                 child on (the colouring bound of max-clique
+                                 search, on the complement)
 """
 
 from __future__ import annotations
@@ -162,12 +163,23 @@ def _decide(n: int, adj: list[int], static: list[int], t: int,
         counter[0] -= 1
         if counter[0] <= 0:
             raise _Budget
-        pick = _pick(uncoloured, sat, static)
-        bit = 1 << pick
+        # _pick and _add are inlined, and min and max are not called: this
+        # runs at every node
+        cand = uncoloured
+        for p in reversed(sat):
+            x = cand & p
+            if x:
+                cand = x
+        if cand & (cand - 1):
+            for p in static:
+                x = cand & p
+                if x:
+                    cand = x
+        bit = cand & -cand
+        pick = bit.bit_length() - 1
         uncoloured ^= bit
         nbrs = adj[pick] & uncoloured
-        # colours 0..max_used + 1, at most t of them (no min/max calls:
-        # this loop runs at every node)
+        # colours 0..max_used + 1, at most t of them
         for c in range(max_used + 2 if max_used + 2 < t else t):
             old = fb[c]
             if old & bit:
@@ -175,8 +187,14 @@ def _decide(n: int, adj: list[int], static: list[int], t: int,
             colors[pick] = c
             touched = nbrs & ~old
             fb[c] = old | touched
-            if rec(uncoloured, _add(sat, touched),
-                   c if c > max_used else max_used):
+            x = touched
+            plus = []
+            for p in sat:
+                plus.append(p ^ x)
+                x &= p
+            if x:
+                plus.append(x)
+            if rec(uncoloured, plus, c if c > max_used else max_used):
                 return True
             fb[c] = old
         colors[pick] = -1
@@ -252,27 +270,32 @@ def best_weighted_independent_set(n: int, adj: list[int], weights,
                 or (total - 1) * maxw / 2.0 <= inc):
             # no set in this subtree can strictly beat the incumbent
             return True
-        # A greedy clique cover of cand: an independent set meets each of
-        # its r classes at most once, so b(r) bounds the subtree too.
-        r = 0
+        # A greedy clique cover of cand, built from the top: each class
+        # starts at the highest vertex left, its leader, and takes the
+        # highest vertex adjacent to every member so far.  A class lies at
+        # or below its leader, so r = |leaders >> v| classes meet the
+        # candidates from v up; an independent set meets each class at most
+        # once, so b(r) bounds child v's subtree and every later child's.
+        leaders = 0
         rest = cand
         while rest:
-            r += 1
-            if (fsum + r * (size + (r - 1) / 2.0) * maxw) / (size + r) > inc:
-                break
-            low = rest & -rest
-            rest ^= low
-            grow = rest & adj[low.bit_length() - 1]
+            top = rest.bit_length() - 1
+            bit = 1 << top
+            leaders |= bit
+            rest ^= bit
+            grow = rest & adj[top]
             while grow:
-                low = grow & -grow
-                rest ^= low
-                grow &= adj[low.bit_length() - 1]
-        else:
-            return True
+                top = grow.bit_length() - 1
+                rest ^= 1 << top
+                grow &= adj[top]
         m = cand
         while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
+            low = m & -m
+            v = low.bit_length() - 1
+            r = (leaders >> v).bit_count()
+            if (fsum + r * (size + (r - 1) / 2.0) * maxw) / (size + r) <= best[0]:
+                return True
+            m ^= low
             add = 0.0
             base = v * n
             for u in members:

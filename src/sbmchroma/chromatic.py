@@ -309,9 +309,12 @@ def alpha_h(m: ModelInstance, g: SbmGraph, mode: str = "exact",
     (F + r (|S| + (r-1)/2) max_q) / (|S| + r) cannot beat the best h so far;
     r is the number of candidates or, tighter, the number of classes of a
     greedy clique cover of them, since an independent set takes at most one
-    vertex of a clique.  "heuristic" is the local search alone: the seeded
-    `_ruin_and_recreate` search that the balanced extraction also runs,
-    scored by h with no block limit, plus a drop pass on every set.
+    vertex of a clique.  The cover is built once per node and checked before
+    each child v, with r the classes that meet the candidates from v on, so
+    one failed check prunes v and every later child.  "heuristic" is the
+    local search alone: the seeded `_ruin_and_recreate` search that the
+    balanced extraction also runs, scored by h with no block limit, plus a
+    drop pass on every set.
     "exact-first" runs the branch and bound under a budget of 1e5 nodes
     and returns its proven maximum when it finishes; otherwise it runs the
     local search and returns whichever of its set and the enumeration's

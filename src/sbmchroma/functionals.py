@@ -293,14 +293,15 @@ def _local_search(rows: np.ndarray, qm: np.ndarray
     current frac: `give[t1 * k + j]` and `take[c]`.
 
     Cache invariant: an entry not marked stale holds w of its row as the
-    matrix stands.  A move on rows a and b stales the givers of a and b
-    and the receivers of every candidate with t1 or t2 in {a, b}; no other
-    row changes, and the accepted candidate's giver and receiver values are
-    w of rows a and b as they now stand.  Each iteration evaluates the
-    stale live rows in one _w_batch call and forms the gains in candidate
-    order, so argmin and the acceptance test see the numbers a full
-    re-evaluation would, because _w_batch gives a row the same bits in
-    any batch.
+    matrix stands.  A move of column j on rows a and b stales the givers
+    of a and b, the receivers of every candidate with t2 in {a, b}, and
+    the receivers of every candidate that moves entry (a, j) or (b, j),
+    whose amount changed.  No other receiver row or amount changes, and
+    the accepted candidate's giver and receiver values are w of rows a
+    and b as they now stand.  Each iteration evaluates the stale live rows
+    in one _w_batch call and forms the gains in candidate order, so argmin
+    and the acceptance test see the numbers a full re-evaluation would,
+    because _w_batch gives a row the same bits in any batch.
     """
     n_parts, k = rows.shape
     tol = 1e-12 * max(1.0, float(rows.sum()))
@@ -312,7 +313,7 @@ def _local_search(rows: np.ndarray, qm: np.ndarray
     t2s_all = np.array([p[1] for p in pairs for _ in range(k)])
     js_all = np.array([j for _ in pairs for j in range(k)])
     src_all = t1s_all * k + js_all  # flat index of the entry a candidate moves
-    touches = [(t1s_all == t) | (t2s_all == t) for t in range(n_parts)]
+    receives = [t2s_all == t for t in range(n_parts)]
     give, take = np.zeros(n_parts * k), np.zeros(src_all.size)
     give_stale = np.empty(n_parts * k, dtype=bool)
     take_stale = np.empty(src_all.size, dtype=bool)
@@ -353,7 +354,8 @@ def _local_search(rows: np.ndarray, qm: np.ndarray
             total = float(roww.sum())
             moves += 1
             give_stale[a * k:(a + 1) * k] = give_stale[b * k:(b + 1) * k] = True
-            take_stale |= touches[a] | touches[b]
+            take_stale |= (receives[a] | receives[b] | (src_all == a * k + j)
+                           | (src_all == b * k + j))
     return total, rows, moves, evaluations
 
 

@@ -293,14 +293,13 @@ class TestAlphaH:
         assert res.exact and res.h_value > 0
 
     def test_exact_node_cap_guard(self, monkeypatch):
-        # sparse mid-size instance: the search on this graph takes 118,504
+        # sparse mid-size instance: the search on this graph takes 153,989
         # nodes, past the lowered cap of 1e5 (it finishes under the shipped
-        # 1e7), so the lowered cap reaches the same guard in a fraction of
-        # a second
+        # 1e7), so the lowered cap reaches the same guard in about a second
         assert chromatic._ALPHA_ENUM_GUARD == 10 ** 7
         monkeypatch.setattr(chromatic, "_ALPHA_ENUM_GUARD", 10 ** 5)
-        m = ModelInstance.gnp(62, 0.08)
-        g = sample_sbm(m, 0)
+        m = ModelInstance.gnp(90, 0.08)
+        g = sample_sbm(m, 1)
         with pytest.raises(GuardError):
             alpha_h(m, g, "exact")
 
@@ -321,8 +320,8 @@ class TestAlphaH:
 
     def test_exact_first_falls_back_past_its_budget(self):
         # the sparse instance of the 1e7-node guard above
-        m = ModelInstance.gnp(62, 0.08)
-        g = sample_sbm(m, 0)
+        m = ModelInstance.gnp(90, 0.08)
+        g = sample_sbm(m, 1)
         for s in range(3):
             res = alpha_h(m, g, "exact-first", seed=s)
             local = alpha_h(m, g, "heuristic", seed=s)
@@ -335,6 +334,14 @@ class TestAlphaH:
             assert res.h_value == pytest.approx(
                 -independent_set_probability(m, members, block_of=g.block_of)
                 / len(members), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_first_is_exact_on_sparse_graphs(self, seed):
+        # the clique-cover bound, checked before each child, finishes these
+        # sparse searches in 735-4,361 nodes, inside the 1e5 budget
+        m = ModelInstance.gnp(62, 0.08)
+        res = alpha_h(m, sample_sbm(m, seed), "exact-first", seed=seed)
+        assert res.exact and 0 < res.nodes < 10 ** 5
 
     def test_exact_first_past_hard_n_is_the_local_search(self):
         m = ModelInstance.gnp(513, 0.9)

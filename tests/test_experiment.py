@@ -372,13 +372,13 @@ class TestRunExperiment:
 
     def test_exact_alpha_h_mode_keeps_its_node_cap(self, tmp_path,
                                                    monkeypatch):
-        # the search on this G(62, 0.08) graph takes 128,923 nodes: past
+        # the search on this G(100, 0.08) graph takes 245,071 nodes: past
         # the lowered cap of 1e5 and the default mode's budget of 1e5, so
         # exact mode reaches the guard and the default mode falls back to
         # the local search (it finishes under the shipped cap of 1e7)
         assert chromatic._ALPHA_ENUM_GUARD == 10 ** 7
         monkeypatch.setattr(chromatic, "_ALPHA_ENUM_GUARD", 10 ** 5)
-        base = base_config(model={"kind": "gnp", "n": 62, "p": 0.08},
+        base = base_config(model={"kind": "gnp", "n": 100, "p": 0.08},
                            replicates=1, measures=["alpha_h"])
         exact = run_experiment(
             ExperimentConfig.from_dict(dict(base, alpha_h_mode="exact")),

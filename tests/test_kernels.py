@@ -146,8 +146,12 @@ class TestBackendParity:
         # with equal weights, and with block-constant ones they recur
         rng = np.random.default_rng(12 if kind == "block" else 13)
         hit = 0
-        for n in [*range(20, 41), 63, 64]:
-            p = float(rng.uniform(0.05, 0.6))
+        cases = [(n, None) for n in [*range(20, 41), 63, 64]]
+        if kind == "equal":
+            cases.append((64, 0.04))  # sparse: still reaches the limit
+        for n, p in cases:
+            if p is None:
+                p = float(rng.uniform(0.05, 0.6))
             adj = random_adj(rng, n, p)
             flat = (block_weights(rng, n) if kind == "block"
                     else equal_weights(n, p))
@@ -156,6 +160,17 @@ class TestBackendParity:
                 n, adj, flat, 10 ** 4), n
             hit += got[0] == kernels.BUDGET_EXCEEDED
         assert hit >= 1  # the partial results agree too
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weighted_independent_set_identical_sparse_gnp(self, kcy, seed):
+        # alpha_h's search on G(62, 0.08): small cover classes and many
+        # children per node; the searches take 735-4,361 nodes, so most
+        # of them reach the lower limit
+        g = sample_sbm(ModelInstance.gnp(62, 0.08), seed)
+        adj, flat = g.adjacency_bits(), equal_weights(62, 0.08)
+        for limit in (10 ** 3, 10 ** 5):
+            assert (kpy.best_weighted_independent_set(62, adj, flat, limit)
+                    == kcy.best_weighted_independent_set(62, adj, flat, limit))
 
     @pytest.mark.parametrize("n", [65, 127, 128, 129, 200, 512])
     def test_exact_coloring_identical_multi_word(self, kcy, n):
